@@ -49,9 +49,9 @@ class Ensemble:
             raise ValueError(
                 f"{len(states)} states but {priors.size} priors"
             )
-        if priors.min() < 0.0:
+        if not priors.min() >= 0.0:
             raise ValueError(f"priors must be nonnegative, got min {priors.min()!r}")
-        if abs(priors.sum() - 1.0) > PRIOR_SUM_TOL:
+        if not abs(priors.sum() - 1.0) <= PRIOR_SUM_TOL:
             raise ValueError(f"priors must sum to 1, got {priors.sum()!r}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)

@@ -40,9 +40,9 @@ class ChannelSpec:
         q = tuple(float(x) for x in self.q)
         if len(q) != 4:
             raise ValueError(f"q must have 4 entries, got {len(q)}")
-        if min(q) < 0.0:
+        if not all(x >= 0.0 for x in q):
             raise ValueError(f"q entries must be nonnegative, got {q}")
-        if abs(sum(q) - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(sum(q) - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"q must sum to 1, got sum {sum(q)!r}")
         mu = float(self.mu)
         if not 0.0 <= mu <= 1.0:
@@ -107,13 +107,13 @@ def validate_density_matrix(rho) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     defect = np.abs(rho - rho.conj().T).max()
-    if defect > DENSITY_TOL:
+    if not defect <= DENSITY_TOL:
         raise ValueError(f"not Hermitian: ||rho - rho+||_max = {defect:.3e}")
     tr = rho.trace()
-    if abs(tr - 1.0) > DENSITY_TOL:
+    if not abs(tr - 1.0) <= DENSITY_TOL:
         raise ValueError(f"trace is {tr!r}, not 1")
     smallest = np.linalg.eigvalsh(rho)[0]
-    if smallest < -POSITIVITY_TOL:
+    if not smallest >= -POSITIVITY_TOL:
         raise ValueError(f"not positive semidefinite: smallest eigenvalue {smallest:.3e}")
     return rho
 

@@ -26,11 +26,13 @@ from .search import (
     minimize_output_entropy,
     schmidt_coefficients,
 )
-from .spectral import hermitian_eigenvalues, shannon_entropy_bits
+from .spectral import hermitian_eigenvalues
 from .symmetric import (
     AnsatzState,
     SymmetricParams,
+    ansatz_state_vector,
     capacity_symmetric,
+    optimal_input,
     output_eigenvalues,
     threshold,
 )
@@ -103,10 +105,8 @@ def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
         q = [float(x) for x in parts]
     except ValueError:
         parser.error(f"--q weights must be numbers, got {text!r}")
-    if min(q) < 0.0:
-        parser.error(f"--q weights must be nonnegative, got {q}")
     total = sum(q)
-    if abs(total - 1.0) > Q_RENORM_TOL:
+    if not abs(total - 1.0) <= Q_RENORM_TOL:
         parser.error(
             f"--q weights sum to {total!r}; deviations above {Q_RENORM_TOL:g} "
             "are rejected rather than silently renormalized"
@@ -114,38 +114,44 @@ def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     return tuple(x / total for x in q)
 
 
+#: --family choice -> (label, spec builder over (param, mu), default sweep-p upper bound).
+_FAMILIES = {
+    "symmetric": ("Symmetric", ch.preset_symmetric, 0.5),
+    "depolarizing": ("Depolarizing", ch.preset_depolarizing, 1.0),
+}
+
+
+@contextmanager
+def _usage_errors(parser):
+    """Turn the library's rejection of an argument value into exit code 2."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _resolve_family(args, parser):
-    """Return (family label, param, spec factory over mu)."""
-    if getattr(args, "q", None) is not None:
+    """Return (family label, param, spec builder over (param, mu))."""
+    if args.q is not None:
         if args.family not in (None, "custom"):
             parser.error("--q is only valid with --family custom")
         q = _parse_q(args.q, parser)
-        return "Custom", None, lambda mu: ch.ChannelSpec(q, mu)
-    family = args.family
-    if family in (None, "custom"):
+        return "Custom", None, lambda _, mu: ch.ChannelSpec(q, mu)
+    if args.family in (None, "custom"):
         parser.error(
             "a channel is required: --family symmetric|depolarizing --param P, "
             "or --family custom --q q0,q1,q2,q3"
         )
     if args.param is None:
-        parser.error(f"--param is required with --family {family}")
-    param = float(args.param)
-    if family == "symmetric":
-        if not 0.0 <= param <= 0.5:
-            parser.error(f"symmetric --param must lie in [0, 1/2], got {param}")
-        return "Symmetric", param, lambda mu: ch.preset_symmetric(param, mu)
-    if not 0.0 <= param <= 1.0:
-        parser.error(f"depolarizing --param must lie in [0, 1], got {param}")
-    return "Depolarizing", param, lambda mu: ch.preset_depolarizing(param, mu)
+        parser.error(f"--param is required with --family {args.family}")
+    family, build, _ = _FAMILIES[args.family]
+    return family, args.param, build
 
 
 def _require_mu(args, parser) -> float:
     if args.mu is None:
         parser.error("--mu is required")
-    mu = float(args.mu)
-    if not 0.0 <= mu <= 1.0:
-        parser.error(f"--mu must lie in [0, 1], got {mu}")
-    return mu
+    return args.mu
 
 
 def _search_config(args, seed: int) -> SearchConfig:
@@ -164,8 +170,8 @@ def _capacity_key(args) -> str:
     return "capacity_bits_per_qubit" if args.per_qubit else "capacity_bits"
 
 
-def _capacity_value(record: SweepRecord, args) -> float:
-    return record.capacity_bits / 2.0 if args.per_qubit else record.capacity_bits
+def _capacity_value(chi_bits: float, args) -> float:
+    return chi_bits / 2.0 if args.per_qubit else chi_bits
 
 
 def _emit_records(records, args, stream) -> None:
@@ -178,7 +184,7 @@ def _emit_records(records, args, stream) -> None:
                     "param": rec.param,
                     "mu": rec.mu,
                     "s_min_bits": rec.s_min_bits,
-                    _capacity_key(args): _capacity_value(rec, args),
+                    _capacity_key(args): _capacity_value(rec.capacity_bits, args),
                     "regime": rec.regime,
                     "method": rec.method,
                 }
@@ -197,7 +203,7 @@ def _emit_records(records, args, stream) -> None:
                     _fmt_param(rec.param),
                     _fmt(rec.mu),
                     _fmt(rec.s_min_bits),
-                    _fmt(_capacity_value(rec, args)),
+                    _fmt(_capacity_value(rec.capacity_bits, args)),
                     rec.regime,
                     rec.method,
                 )
@@ -223,50 +229,28 @@ def _emit_report(pairs, args, stream) -> None:
         stream.write(f"{key}: {text}\n")
 
 
-def _evaluate_point(factory, family, param, mu, cfg, force_numeric):
-    result = two_qubit_capacity(factory(mu), cfg, force_numeric=force_numeric)
-    record = SweepRecord(
-        family=family,
-        param=param,
-        mu=mu,
-        s_min_bits=result.s_min_bits,
-        capacity_bits=result.chi_bits,
-        regime=result.regime.value,
-        method=_method_label(result.method),
-    )
-    return record, result.converged
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _run_capacity(args, parser) -> int:
-    family, param, factory = _resolve_family(args, parser)
+def _single_point(args, parser):
+    """Family label, leading report pairs, channel and search config of one point."""
+    family, param, build = _resolve_family(args, parser)
     mu = _require_mu(args, parser)
-    force_numeric = family == "Custom" or args.numeric
-    cfg = _search_config(args, args.seed)
-    result = two_qubit_capacity(factory(mu), cfg, force_numeric=force_numeric)
+    with _usage_errors(parser):
+        spec = build(param, mu)
+        cfg = _search_config(args, args.seed)
+    pairs = [("family", family)] + ([] if param is None else [("param", param)])
+    return family, pairs + [("mu", spec.mu)], spec, cfg
 
-    pairs = [("family", family)]
-    if param is not None:
-        pairs.append(("param", param))
-    pairs.extend(
-        [
-            ("mu", mu),
-            ("s_min_bits", result.s_min_bits),
-            (_capacity_key(args), _capacity_value_from(result.chi_bits, args)),
-            ("regime", result.regime.value),
-            ("method", _method_label(result.method)),
-            ("converged", result.converged),
-        ]
-    )
+
+def _report_point(pairs, state, converged: bool, args) -> int:
+    """Write a single-point report; an unconverged one goes to stderr with exit 3."""
     if args.json:
-        pairs.append(("state", [[z.real, z.imag] for z in result.state]))
+        pairs.append(("state", [[z.real, z.imag] for z in state]))
     else:
-        pairs.append(("state_amplitudes", _fmt_amplitudes(result.state)))
-
-    if not result.converged:
+        pairs.append(("state_amplitudes", _fmt_amplitudes(state)))
+    if not converged:
         _emit_report(pairs, args, sys.stderr)
         return 3
     with _out_stream(args.out) as stream:
@@ -274,8 +258,18 @@ def _run_capacity(args, parser) -> int:
     return 0
 
 
-def _capacity_value_from(chi_bits: float, args) -> float:
-    return chi_bits / 2.0 if args.per_qubit else chi_bits
+def _run_capacity(args, parser) -> int:
+    family, pairs, spec, cfg = _single_point(args, parser)
+    force_numeric = family == "Custom" or args.numeric
+    result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
+    pairs += [
+        ("s_min_bits", result.s_min_bits),
+        (_capacity_key(args), _capacity_value(result.chi_bits, args)),
+        ("regime", result.regime.value),
+        ("method", _method_label(result.method)),
+        ("converged", result.converged),
+    ]
+    return _report_point(pairs, result.state, result.converged, args)
 
 
 def _run_sweep(args, parser, sweep_param: bool) -> int:
@@ -283,37 +277,40 @@ def _run_sweep(args, parser, sweep_param: bool) -> int:
         parser.error(f"--steps must be at least 2, got {args.steps}")
 
     if sweep_param:
-        if args.family == "symmetric":
-            family, upper, build = "Symmetric", 0.5, ch.preset_symmetric
-        elif args.family == "depolarizing":
-            family, upper, build = "Depolarizing", 1.0, ch.preset_depolarizing
-        else:
+        if args.family not in _FAMILIES:
             parser.error("sweep-p requires --family symmetric or depolarizing")
+        family, build, upper = _FAMILIES[args.family]
         mu = _require_mu(args, parser)
         lo = args.param_min if args.param_min is not None else 0.0
         hi = args.param_max if args.param_max is not None else upper
-        if not 0.0 <= lo <= hi <= upper:
-            parser.error(f"need 0 <= --param-min <= --param-max <= {upper}")
-        points = [
-            (float(v), mu, lambda m, v=v: build(float(v), m))
-            for v in np.linspace(lo, hi, args.steps)
-        ]
     else:
-        family, param, factory = _resolve_family(args, parser)
+        family, param, build = _resolve_family(args, parser)
         lo, hi = args.mu_min, args.mu_max
-        if not 0.0 <= lo <= hi <= 1.0:
-            parser.error(f"need 0 <= --mu-min <= --mu-max <= 1, got [{lo}, {hi}]")
-        points = [(param, float(v), factory) for v in np.linspace(lo, hi, args.steps)]
+    if not lo <= hi:
+        parser.error(f"the sweep range needs min <= max, got [{lo}, {hi}]")
+    # An infinite bound makes NaN grid points, which the library rejects.
+    with _usage_errors(parser), np.errstate(invalid="ignore"):
+        jobs = []
+        for index, v in enumerate(np.linspace(lo, hi, args.steps)):
+            point_param, point_mu = (float(v), mu) if sweep_param else (param, float(v))
+            cfg = _search_config(args, _point_seed(args.seed, index))
+            jobs.append((point_param, build(point_param, point_mu), cfg))
     force_numeric = family == "Custom" or args.numeric
 
-    def work(indexed):
-        index, (point_param, point_mu, point_factory) = indexed
-        cfg = _search_config(args, _point_seed(args.seed, index))
-        return _evaluate_point(
-            point_factory, family, point_param, point_mu, cfg, force_numeric
+    def work(job):
+        point_param, spec, cfg = job
+        result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
+        record = SweepRecord(
+            family=family,
+            param=point_param,
+            mu=spec.mu,
+            s_min_bits=result.s_min_bits,
+            capacity_bits=result.chi_bits,
+            regime=result.regime.value,
+            method=_method_label(result.method),
         )
+        return record, result.converged
 
-    jobs = list(enumerate(points))
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             outcomes = list(pool.map(work, jobs))
@@ -344,8 +341,7 @@ def _capacity_slope(p: float, at_mu: float, step: float = 1e-5) -> float:
     return (capacity_symmetric(p, hi) - capacity_symmetric(p, lo)) / step
 
 
-def _threshold_report(p: float) -> ThresholdReport:
-    mu_t = threshold(p)
+def _threshold_report(p: float, mu_t: float) -> ThresholdReport:
     interior = 0.0 < mu_t < 1.0
     if not interior:
         return ThresholdReport(
@@ -374,10 +370,9 @@ def _threshold_report(p: float) -> ThresholdReport:
 
 
 def _run_threshold(args, parser) -> int:
-    p = float(args.p)
-    if not 0.0 <= p <= 0.5:
-        parser.error(f"--p must lie in [0, 1/2], got {p}")
-    report = _threshold_report(p)
+    with _usage_errors(parser):
+        mu_t = threshold(args.p)
+    report = _threshold_report(args.p, mu_t)
     pairs = [
         ("p", report.p),
         ("mu_t_analytic", report.mu_t_analytic),
@@ -393,36 +388,16 @@ def _run_threshold(args, parser) -> int:
 
 
 def _run_moe(args, parser) -> int:
-    family, param, factory = _resolve_family(args, parser)
-    mu = _require_mu(args, parser)
-    cfg = _search_config(args, args.seed)
-    result = minimize_output_entropy(factory(mu), cfg)
-    coeffs = schmidt_coefficients(result.state)
-
-    pairs = [("family", family)]
-    if param is not None:
-        pairs.append(("param", param))
-    pairs.extend(
-        [
-            ("mu", mu),
-            ("entropy_bits", result.entropy_bits),
-            ("method", result.method.value),
-            ("converged", result.converged),
-            ("restarts_used", result.restarts_used),
-            ("schmidt_coefficients", [float(c) for c in coeffs]),
-        ]
-    )
-    if args.json:
-        pairs.append(("state", [[z.real, z.imag] for z in result.state]))
-    else:
-        pairs.append(("state_amplitudes", _fmt_amplitudes(result.state)))
-
-    if not result.converged:
-        _emit_report(pairs, args, sys.stderr)
-        return 3
-    with _out_stream(args.out) as stream:
-        _emit_report(pairs, args, stream)
-    return 0
+    _, pairs, spec, cfg = _single_point(args, parser)
+    result = minimize_output_entropy(spec, cfg)
+    pairs += [
+        ("entropy_bits", result.entropy_bits),
+        ("method", result.method.value),
+        ("converged", result.converged),
+        ("restarts_used", result.restarts_used),
+        ("schmidt_coefficients", [float(c) for c in schmidt_coefficients(result.state)]),
+    ]
+    return _report_point(pairs, result.state, result.converged, args)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +424,8 @@ def _random_pure_state(rng) -> np.ndarray:
 def _run_verify(args, parser) -> int:
     sizes = _DENSITIES[args.grid_density]
     samples = sizes["samples"]
-    rng = np.random.default_rng(args.seed)
+    with _usage_errors(parser):
+        rng = np.random.default_rng(args.seed)
     results = []
 
     def record(stream, name, residual, tol):
@@ -516,9 +492,7 @@ def _run_verify(args, parser) -> int:
                 for theta in np.linspace(0.0, math.pi / 2, n_theta):
                     for phi in np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False):
                         state = AnsatzState(theta, phi)
-                        v = np.zeros(4, dtype=complex)
-                        v[0] = math.cos(theta)
-                        v[3] = np.exp(1j * phi) * math.sin(theta)
+                        v = ansatz_state_vector(state)
                         dense = hermitian_eigenvalues(
                             ch.apply(spec, np.outer(v, v.conj()))
                         )
@@ -531,13 +505,7 @@ def _run_verify(args, parser) -> int:
         residual = 0.0
         for i, p in enumerate(np.linspace(0.0, 0.5, n_p)):
             for j, mu in enumerate(np.linspace(0.0, 1.0, n_mu)):
-                params = SymmetricParams(p, mu)
-                analytic = shannon_entropy_bits(
-                    output_eigenvalues(
-                        params,
-                        AnsatzState(0.0 if abs(params.eta) > mu else math.pi / 4),
-                    )
-                )
+                analytic = optimal_input(SymmetricParams(p, mu)).s_min_bits
                 cfg = SearchConfig(
                     restarts=6,
                     max_iterations=150,

@@ -37,21 +37,22 @@ class SearchConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.restarts < 1:
+        if not self.restarts >= 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.entropy_tolerance <= 0:
+        if not 0.0 < self.entropy_tolerance < math.inf:
             raise ValueError(
-                f"entropy_tolerance must be positive, got {self.entropy_tolerance}"
+                f"entropy_tolerance must be finite and positive, got {self.entropy_tolerance}"
             )
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 class MOEMethod(enum.Enum):
     """Provenance of a minimal-output-entropy result."""
 
     ANALYTIC_CLOSED_FORM = "AnalyticClosedForm"
-    ANSATZ_GRID = "AnsatzGrid"
     GLOBAL_SEARCH = "GlobalSearch"
 
 
@@ -101,7 +102,7 @@ def _require_unit_norm(state) -> np.ndarray:
     if state.shape != (4,):
         raise ValueError(f"expected 4 amplitudes, got shape {state.shape}")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm is {norm!r}, not 1")
     return state
 
@@ -194,34 +195,6 @@ def minimize_output_entropy(
         converged=config.restarts >= 2
         and (second_f - best_f) <= config.entropy_tolerance,
         restarts_used=config.restarts,
-    )
-
-
-def ansatz_grid_search(
-    spec: ChannelSpec, n_theta: int = 96, n_phi: int = 24
-) -> MOEResult:
-    """Best input over a grid of the two-amplitude |00>/|11> family.
-
-    Mid-fidelity tool: exact for channels whose optimum lies in that
-    family, a lower-effort probe otherwise.
-    """
-    thetas = np.linspace(0.0, _HALF_PI, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    best = (math.inf, None)
-    for theta in thetas:
-        for phi in phis:
-            v = np.zeros(4, dtype=complex)
-            v[0] = math.cos(theta)
-            v[3] = np.exp(1j * phi) * math.sin(theta)
-            s = output_entropy(spec, v)
-            if s < best[0]:
-                best = (s, v)
-    return MOEResult(
-        state=best[1],
-        entropy_bits=best[0],
-        method=MOEMethod.ANSATZ_GRID,
-        converged=True,
-        restarts_used=0,
     )
 
 

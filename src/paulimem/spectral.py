@@ -26,7 +26,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = np.abs(m - m.conj().T).max()
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: ||M - M+||_max = {defect:.3e}")
     return np.linalg.eigvalsh(m)[::-1].copy()
 
@@ -40,10 +40,10 @@ def shannon_entropy_bits(p) -> float:
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("probability vector is empty")
-    if p.min() < -DUST_TOL:
+    if not p.min() >= -DUST_TOL:
         raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
     total = p.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     p = np.clip(p, 0.0, 1.0)
     nz = p[p > 0.0]

@@ -15,8 +15,12 @@ from paulimem.channel import (
     preset_depolarizing,
     preset_symmetric,
 )
-from paulimem.search import MOEMethod, SearchConfig
-from paulimem.spectral import von_neumann_entropy_bits
+from paulimem.search import MOEMethod, SearchConfig, output_entropy
+from paulimem.spectral import (
+    hermitian_eigenvalues,
+    shannon_entropy_bits,
+    von_neumann_entropy_bits,
+)
 from paulimem.symmetric import Regime
 from util import random_pure_state, random_spec
 
@@ -41,6 +45,36 @@ def test_ensemble_validation():
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([1.5, -0.5]))
+
+
+NAN = float("nan")
+NAN_MATRIX = np.full((4, 4), NAN)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ChannelSpec((NAN, 0.5, 0.25, 0.25), 0.5),
+        lambda: ChannelSpec((0.25, 0.25, 0.25, 0.25), NAN),
+        lambda: SearchConfig(entropy_tolerance=NAN),
+        lambda: SearchConfig(entropy_tolerance=np.inf),
+        lambda: SearchConfig(seed=-1),
+        lambda: Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([NAN, 1.0])),
+        lambda: shannon_entropy_bits([NAN, 1.0]),
+        lambda: hermitian_eigenvalues(NAN_MATRIX),
+        lambda: apply(preset_symmetric(0.3, 0.5), NAN_MATRIX),
+        lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([NAN, 0, 0, 0])),
+    ],
+    ids=[
+        "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
+        "config-seed", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
+    ],
+)
+def test_invalid_input_raises_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    # LinAlgError is a ValueError too: the input check, not the solver, must reject it.
+    assert info.type is ValueError
 
 
 def test_covariant_ensemble_of_basis_state_collapses():

@@ -1,9 +1,18 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import io
 import json
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paulimem import cli
 from paulimem.cli import main
 
 
@@ -12,6 +21,166 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:  # argparse errors
         return exc.code
+
+
+def run_captured(args):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error(args):
+    """Exit 2, empty stdout and exactly one ``paulimem ...: error:`` line on stderr."""
+    code, out, err = run_captured(args)
+    assert code == 2, (args, code, err)
+    assert out == ""
+    errors = [line for line in err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].startswith("paulimem"), (args, err)
+
+
+# Full stdout of the closed-form commands; these bytes must not change.
+GOLDEN_STDOUT = {
+    "capacity --family symmetric --param 0.3 --mu 0.5": """\
+family: Symmetric
+param: 0.3
+mu: 0.5
+s_min_bits: 1.53672167
+capacity_bits: 0.463278326
+regime: Entangled
+method: Analytic
+converged: true
+state_amplitudes: 0.707106781+0j, 0+0j, 0+0j, 0.707106781+0j
+""",
+    "capacity --family symmetric --param 0.45 --mu 0.2 --json --per-qubit": """\
+{
+  "family": "Symmetric",
+  "param": 0.45,
+  "mu": 0.2,
+  "s_min_bits": 0.9165019458273397,
+  "capacity_bits_per_qubit": 0.5417490270863299,
+  "regime": "Product",
+  "method": "Analytic",
+  "converged": true,
+  "state": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ]
+  ]
+}
+""",
+    "sweep-mu --family symmetric --param 0.35 --steps 21": """\
+family,param,mu,s_min_bits,capacity_bits,regime,method
+Symmetric,0.35,0,1.7625818,0.237418202,Product,Analytic
+Symmetric,0.35,0.05,1.76079912,0.239200882,Product,Analytic
+Symmetric,0.35,0.1,1.75551777,0.244482228,Product,Analytic
+Symmetric,0.35,0.15,1.74680604,0.253193964,Product,Analytic
+Symmetric,0.35,0.2,1.73469535,0.265304649,Product,Analytic
+Symmetric,0.35,0.25,1.71918464,0.280815357,Product,Analytic
+Symmetric,0.35,0.3,1.70024225,0.29975775,Product,Analytic
+Symmetric,0.35,0.35,1.67780592,0.32219408,Product,Analytic
+Symmetric,0.35,0.4,1.651781,0.348219,Boundary,Analytic
+Symmetric,0.35,0.45,1.57712441,0.422875585,Entangled,Analytic
+Symmetric,0.35,0.5,1.49482071,0.505179293,Entangled,Analytic
+Symmetric,0.35,0.55,1.40456659,0.595433411,Entangled,Analytic
+Symmetric,0.35,0.6,1.30593707,0.694062934,Entangled,Analytic
+Symmetric,0.35,0.65,1.19834844,0.80165156,Entangled,Analytic
+Symmetric,0.35,0.7,1.08099793,0.919002073,Entangled,Analytic
+Symmetric,0.35,0.75,0.952760484,1.04723952,Entangled,Analytic
+Symmetric,0.35,0.8,0.811999291,1.18800071,Entangled,Analytic
+Symmetric,0.35,0.85,0.656177686,1.34382231,Entangled,Analytic
+Symmetric,0.35,0.9,0.480917687,1.51908231,Entangled,Analytic
+Symmetric,0.35,0.95,0.276901595,1.7230984,Entangled,Analytic
+Symmetric,0.35,1,0,2,Entangled,Analytic
+""",
+    "sweep-p --family symmetric --mu 0.5 --steps 6 --json": """\
+[
+  {
+    "family": "Symmetric",
+    "param": 0.0,
+    "mu": 0.5,
+    "s_min_bits": 0.0,
+    "capacity_bits": 2.0,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.1,
+    "mu": 0.5,
+    "s_min_bits": 1.291314688649721,
+    "capacity_bits": 0.7086853113502793,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.2,
+    "mu": 0.5,
+    "s_min_bits": 1.536721674438358,
+    "capacity_bits": 0.46327832556164217,
+    "regime": "Entangled",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.30000000000000004,
+    "mu": 0.5,
+    "s_min_bits": 1.536721674438358,
+    "capacity_bits": 0.46327832556164217,
+    "regime": "Entangled",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.4,
+    "mu": 0.5,
+    "s_min_bits": 1.2913146886497209,
+    "capacity_bits": 0.7086853113502793,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.5,
+    "mu": 0.5,
+    "s_min_bits": 0.0,
+    "capacity_bits": 2.0,
+    "regime": "Product",
+    "method": "Analytic"
+  }
+]
+""",
+    "threshold --p 0.15 --json": """\
+{
+  "p": 0.15,
+  "mu_t_analytic": 0.4,
+  "mu_t_numeric": 0.40000009536743164,
+  "left_slope": 0.5570423892375942,
+  "right_slope": 1.4184701623953797,
+  "note": "signed expression 4p-1 = -0.4 is negative here; the entropy comparison uses its magnitude"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_closed_form_stdout_is_pinned(command):
+    assert run_captured(command.split()) == (0, GOLDEN_STDOUT[command], "")
 
 
 def test_capacity_symmetric_analytic(tmp_path, capsys):
@@ -95,15 +264,85 @@ def test_custom_q_rejected_above_tolerance():
 
 
 def test_argument_errors_exit_2():
-    assert run_cli(["capacity", "--family", "symmetric", "--param", "0.7", "--mu", "0.5"]) == 2
-    assert run_cli(["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "1.5"]) == 2
-    assert run_cli(["capacity", "--family", "symmetric", "--mu", "0.5"]) == 2
-    assert run_cli(["capacity", "--mu", "0.5"]) == 2
-    assert run_cli(["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "1"]) == 2
-    assert run_cli(["sweep-mu", "--family", "symmetric", "--param", "0.3",
-                    "--mu-min", "0.5", "--mu-max", "0.2"]) == 2
-    assert run_cli(["threshold", "--p", "0.6"]) == 2
-    assert run_cli(["nonsense"]) == 2
+    point = ["--family", "symmetric", "--param", "0.3", "--mu", "0.5"]
+    for args in [
+        ["capacity", "--family", "symmetric", "--param", "0.7", "--mu", "0.5"],
+        ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "1.5"],
+        ["capacity", "--family", "symmetric", "--mu", "0.5"],
+        ["capacity", "--mu", "0.5"],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "1"],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3",
+         "--mu-min", "0.5", "--mu-max", "0.2"],
+        ["threshold", "--p", "0.6"],
+        ["nonsense"],
+        # The search settings are checked even where the closed form needs no search.
+        ["capacity", *point, "--restarts", "0"],
+        ["capacity", *point, "--tolerance", "-1"],
+        ["capacity", *point, "--tolerance", "nan"],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--restarts", "0"],
+        ["moe", *point, "--restarts", "0"],
+        ["capacity", "--q", "nan,0.5,0.25,0.25", "--mu", "0.3"],
+    ]:
+        assert_usage_error(args)
+
+
+def outside(lo, hi):
+    """Non-finite floats and finite ones outside [lo, hi]."""
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(max_value=lo, exclude_max=True),
+        st.floats(min_value=hi, exclude_min=True),
+    )
+
+
+def ints_below(n):
+    return st.one_of(st.sampled_from(["nan", "inf"]), st.integers(max_value=n - 1))
+
+
+UNIT, HALF = outside(0.0, 1.0), outside(0.0, 0.5)
+WEIGHTS = outside(0.0, 1.0).map(lambda x: f"{x},{0.5 - x},0.25,0.25")
+SEARCH = {
+    "--tolerance": st.one_of(st.sampled_from([math.nan, math.inf]), st.floats(max_value=0.0)),
+    "--restarts": ints_below(1),
+    "--seed": ints_below(0),
+}
+SWEEP = {**SEARCH, "--steps": ints_below(2), "--threads": st.sampled_from(["nan", "inf"])}
+SYMMETRIC = ("--family", "symmetric", "--param", "0.3")
+DEPOLARIZING = ("--family", "depolarizing", "--param", "0.7")
+
+# Valid argv of each command -> the option set to a bad value, and its bad values.
+BAD_OPTIONS = {
+    ("capacity", *SYMMETRIC, "--mu", "0.5"): {"--param": HALF, "--mu": UNIT, **SEARCH},
+    ("capacity", *DEPOLARIZING, "--mu", "0.5"): {"--param": UNIT},
+    ("capacity", "--mu", "0.5"): {"--q": WEIGHTS},
+    ("moe", *SYMMETRIC, "--mu", "0.5"): {"--param": HALF, "--mu": UNIT, **SEARCH},
+    ("sweep-mu", *SYMMETRIC, "--steps", "3"): {
+        "--param": HALF, "--mu-min": UNIT, "--mu-max": UNIT, **SWEEP
+    },
+    ("sweep-mu", "--steps", "3"): {"--q": WEIGHTS},
+    ("sweep-p", "--family", "depolarizing", "--mu", "0.5", "--steps", "3"): {
+        "--mu": UNIT, "--param-min": UNIT, "--param-max": UNIT, **SWEEP
+    },
+    ("threshold", "--p", "0.3"): {"--p": HALF},
+}
+BAD_ARGVS = st.sampled_from(
+    [(base, option, bad) for base, options in BAD_OPTIONS.items() for option, bad in options.items()]
+).flatmap(lambda case: case[2].map(lambda value: [*case[0], f"{case[1]}={value}"]))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a rejected argument reached a computation")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(BAD_ARGVS)
+def test_rejected_option_values_exit_2_before_any_search(args):
+    computations = dict.fromkeys(
+        ("two_qubit_capacity", "minimize_output_entropy", "crossing_mu"), _unreachable
+    )
+    with mock.patch.multiple(cli, **computations), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_usage_error(args)
 
 
 def test_sweep_mu_csv_schema(tmp_path):

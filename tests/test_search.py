@@ -9,7 +9,6 @@ from paulimem.channel import ChannelSpec, preset_depolarizing, preset_symmetric
 from paulimem.search import (
     MOEMethod,
     SearchConfig,
-    ansatz_grid_search,
     candidate_entropy_gap,
     crossing_mu,
     minimize_output_entropy,
@@ -145,13 +144,6 @@ def test_depolarizing_perfect_memory_limit():
     result = minimize_output_entropy(preset_depolarizing(0.7, 1.0), LEAN)
     assert result.entropy_bits < 1e-9
     assert abs(output_entropy(preset_depolarizing(0.7, 1.0), BELL)) < 1e-12
-
-
-def test_ansatz_grid_search_matches_closed_form():
-    spec = preset_symmetric(0.3, 0.5)
-    result = ansatz_grid_search(spec, n_theta=96, n_phi=8)
-    assert result.method is MOEMethod.ANSATZ_GRID
-    assert abs(result.entropy_bits - S_MIN_030_050) < 1e-4
 
 
 def test_schmidt_coefficients():
