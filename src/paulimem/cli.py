@@ -275,10 +275,16 @@ def _run_capacity(args, parser) -> int:
 def _run_sweep(args, parser, sweep_param: bool) -> int:
     if args.steps < 2:
         parser.error(f"--steps must be at least 2, got {args.steps}")
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
 
     if sweep_param:
         if args.family not in _FAMILIES:
             parser.error("sweep-p requires --family symmetric or depolarizing")
+        if args.param is not None or args.q is not None:
+            parser.error(
+                "sweep-p takes its weight range from --param-min/--param-max, not --param or --q"
+            )
         family, build, upper = _FAMILIES[args.family]
         mu = _require_mu(args, parser)
         lo = args.param_min if args.param_min is not None else 0.0

@@ -6,6 +6,13 @@ so a multi-start derivative-free descent over a 6-angle parametrization
 of pure two-qubit states suffices.  For the symmetric family it serves
 as an independent check of the closed forms; for general weights it is
 the only route.
+
+The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
+restart simplices in lock-step: each step gathers the trial points of
+every simplex still running and scores them with one batched call
+(states, channel outputs and one stacked ``eigvalsh``), and a simplex
+leaves the batch when it meets its stop test.  Each restart ends
+exactly where it would end alone.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
-from scipy.stats import qmc
 
 from .channel import ChannelSpec, _kraus_stack, apply
 from .spectral import von_neumann_entropy_bits
@@ -65,6 +70,10 @@ class MOEResult:
     method: MOEMethod
     converged: bool
     restarts_used: int
+    #: Objective points scored, over the restarts and the polish.
+    evaluations: int
+    #: Lock-step steps of the restart batch plus those of the polish.
+    iterations: int
 
 
 # Warm-start angles: the four computational basis states and the four
@@ -89,12 +98,20 @@ def parametrize_pure_state(angles) -> np.ndarray:
     e^(i b3) sin a1 sin a2 sin a3)``; the map covers all pure states up
     to global phase.
     """
-    a1, a2, a3, b1, b2, b3 = (float(x) for x in angles)
-    s1 = math.sin(a1)
-    s12 = s1 * math.sin(a2)
-    mags = (math.cos(a1), s1 * math.cos(a2), s12 * math.cos(a3), s12 * math.sin(a3))
-    phases = (1.0, np.exp(1j * b1), np.exp(1j * b2), np.exp(1j * b3))
-    return np.array([m * ph for m, ph in zip(mags, phases)], dtype=complex)
+    return _pure_states(np.asarray(angles, dtype=float).reshape(1, 6))[0]
+
+
+def _pure_states(angles: np.ndarray) -> np.ndarray:
+    """(B, 6) angles to (B, 4) amplitudes, row by row as documented above."""
+    c, s = np.cos(angles[:, :3]), np.sin(angles[:, :3])
+    s12 = s[:, 0] * s[:, 1]
+    states = np.empty((len(angles), 4), dtype=complex)
+    states[:, 0] = c[:, 0]
+    states[:, 1] = s[:, 0] * c[:, 1]
+    states[:, 2] = s12 * c[:, 2]
+    states[:, 3] = s12 * s[:, 2]
+    states[:, 1:] *= np.exp(1j * angles[:, 3:])
+    return states
 
 
 def _require_unit_norm(state) -> np.ndarray:
@@ -114,40 +131,119 @@ def output_entropy(spec: ChannelSpec, state) -> float:
 
 
 def _entropy_objective(stack: np.ndarray):
-    conj_stack = stack.conj()
+    """Map (B, 6) angles to the (B,) output entropies of their pure states."""
+    rows = stack.reshape(64, 4)
 
-    def objective(angles: np.ndarray) -> float:
-        v = parametrize_pure_state(angles)
-        applied = stack @ np.outer(v, v.conj())
-        out = np.einsum("kab,kcb->ac", applied, conj_stack)
-        w = np.linalg.eigvalsh(out)
-        w = w[w > 1e-300]
-        return float(-(w * np.log2(w)).sum())
+    def objective(angles: np.ndarray) -> np.ndarray:
+        # Row k*4+a of rows @ v is (K_k v)_a, so the output is sum_k w_k w_k+.
+        w = (rows @ _pure_states(angles)[:, :, None]).reshape(-1, 16, 4)
+        spectra = np.linalg.eigvalsh(w.transpose(0, 2, 1) @ w.conj())
+        kept = spectra > 1e-300
+        terms = spectra * np.log2(np.where(kept, spectra, 1.0))
+        return -np.where(kept, terms, 0.0).sum(axis=1)
 
     return objective
 
 
-def _simplex_descent(objective, x0: np.ndarray, max_iterations: int, tight: bool):
+# scipy's non-adaptive Nelder-Mead rule: a trial point is
+# (1 + c) * centroid - c * worst, with c = 1 to reflect, 2 to expand,
+# 0.5 to contract outside and -0.5 to contract inside; a shrink halves
+# every edge from the best vertex.  The initial simplex scales each
+# nonzero coordinate by 1.05 and sets each zero one to 0.00025.
+_REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK = 1, 2, 0.5, -0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray):
+    """Order each simplex's vertices by value, as scipy does."""
+    order = np.argsort(fsim, axis=1)
+    return (
+        np.take_along_axis(sim, order[:, :, None], axis=1),
+        np.take_along_axis(fsim, order, axis=1),
+    )
+
+
+def _nelder_mead(objective, starts: np.ndarray, max_iterations: int, tight: bool):
+    """Lock-step Nelder-Mead from each row of ``starts``.
+
+    Every simplex takes scipy's steps, decisions and stop test, and the
+    trial points of all running simplices are scored in one objective
+    call per phase of a step (reflect; expand or contract; shrink).  A
+    simplex leaves the batch when it meets the stop test.  Returns the
+    minimizers, their values, the number of lock-step steps and the
+    number of points scored.
+    """
     # Restarts only need to identify the basin; the winner is polished
     # once with tight tolerances.
     xatol, fatol = (1e-10, 1e-13) if tight else (1e-6, 1e-10)
-    return _scipy_minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iterations,
-            "xatol": xatol,
-            "fatol": fatol,
-            "adaptive": False,
-        },
-    )
+    count, n = starts.shape
+    diag = np.arange(n)
+    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
+    sim[:, diag + 1, diag] = np.where(starts != 0, (1 + _NONZDELT) * starts, _ZDELT)
+    fsim = objective(sim.reshape(-1, n)).reshape(count, n + 1)
+    evaluations = count * (n + 1)
+    # scipy sorts the initial simplex twice, which can reorder ties.
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+
+    best_x = np.empty_like(starts)
+    best_f = np.empty(count)
+    ids = np.arange(count)
+    steps = 0
+    for _ in range(max_iterations - 1):
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            best_x[ids[done]], best_f[ids[done]] = sim[done, 0], fsim[done, 0]
+            ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+            if not len(ids):
+                break
+        steps += 1
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst, f_worst = sim[:, -1], fsim[:, -1]
+        new_x = (1 + _REFLECT) * xbar - _REFLECT * worst
+        new_f = objective(new_x)
+        evaluations += len(new_x)
+
+        # A reflection better than the best vertex is tried further out;
+        # one no better than the second worst is contracted.
+        expand = new_f < fsim[:, 0]
+        contract = ~expand & ~(new_f < fsim[:, -2])
+        outside = contract & (new_f < f_worst)
+        rows = np.flatnonzero(expand | contract)
+        if len(rows):
+            coef = np.where(expand, _EXPAND, np.where(outside, _OUTSIDE, _INSIDE))[rows, None]
+            xt = (1 + coef) * xbar[rows] - coef * worst[rows]
+            ft = objective(xt)
+            evaluations += len(rows)
+            better = np.where(
+                expand[rows],
+                ft < new_f[rows],
+                np.where(outside[rows], ft <= new_f[rows], ft < f_worst[rows]),
+            )
+            new_x[rows[better]], new_f[rows[better]] = xt[better], ft[better]
+            contract[rows[better]] = False
+        # A contraction that failed shrinks the simplex instead.
+        keep = ~contract
+        sim[keep, -1], fsim[keep, -1] = new_x[keep], new_f[keep]
+        if contract.any():
+            moved = sim[contract, :1] + _SHRINK * (sim[contract, 1:] - sim[contract, :1])
+            sim[contract, 1:] = moved
+            fsim[contract, 1:] = objective(moved.reshape(-1, n)).reshape(-1, n)
+            evaluations += moved.shape[0] * n
+        sim, fsim = _by_value(sim, fsim)
+
+    best_x[ids], best_f[ids] = sim[:, 0], fsim[:, 0]
+    return best_x, best_f, steps, evaluations
 
 
 def _start_points(config: SearchConfig) -> np.ndarray:
     starts = np.array(_WARM_STARTS[: config.restarts])
     extra = config.restarts - len(starts)
     if extra > 0:
+        # scipy is needed only here, so importing paulimem does not load it.
+        from scipy.stats import qmc
+
         sampler = qmc.Halton(d=6, scramble=True, seed=config.seed)
         box = sampler.random(extra)
         box[:, :3] *= _HALF_PI
@@ -161,40 +257,39 @@ def minimize_output_entropy(
 ) -> MOEResult:
     """Multi-start simplex descent over all pure two-qubit inputs.
 
-    Deterministic given the config seed: restarts run in a fixed order,
-    ties resolve to the lowest restart index, and the winner gets one
-    extra descent from its own minimizer as a polish step.  The result
-    is flagged converged when the two best restarts agree within
-    ``entropy_tolerance`` (a single restart cannot confirm itself).
+    Deterministic given the config seed: all restarts descend in one
+    lock-step batch, ties resolve to the lowest restart index, and the
+    winner gets one extra descent from its own minimizer as a polish
+    step.  The result is flagged converged when the two best restarts
+    agree within ``entropy_tolerance`` (a single restart cannot confirm
+    itself).
     """
     if config is None:
         config = SearchConfig()
     objective = _entropy_objective(_kraus_stack(spec))
 
-    best_x = None
-    best_f = math.inf
-    second_f = math.inf
-    for x0 in _start_points(config):
-        res = _simplex_descent(objective, x0, config.max_iterations, tight=False)
-        f = float(res.fun)
-        if f < best_f:
-            best_f, second_f = f, best_f
-            best_x = res.x
-        elif f < second_f:
-            second_f = f
+    xs, fs, steps, evaluations = _nelder_mead(
+        objective, _start_points(config), config.max_iterations, tight=False
+    )
+    order = np.argsort(fs, kind="stable")
+    best_x, best_f = xs[order[0]], fs[order[0]]
+    second_f = fs[order[1]] if len(order) > 1 else math.inf
 
-    polish = _simplex_descent(objective, best_x, config.max_iterations, tight=True)
-    if polish.fun < best_f:
-        best_x = polish.x
+    polish_x, polish_f, polish_steps, polish_evaluations = _nelder_mead(
+        objective, best_x[None], config.max_iterations, tight=True
+    )
+    if polish_f[0] < best_f:
+        best_x = polish_x[0]
 
     state = parametrize_pure_state(best_x)
     return MOEResult(
         state=state,
         entropy_bits=output_entropy(spec, state),
         method=MOEMethod.GLOBAL_SEARCH,
-        converged=config.restarts >= 2
-        and (second_f - best_f) <= config.entropy_tolerance,
+        converged=bool(second_f - best_f <= config.entropy_tolerance),
         restarts_used=config.restarts,
+        evaluations=evaluations + polish_evaluations,
+        iterations=steps + polish_steps,
     )
 
 

@@ -282,6 +282,13 @@ def test_argument_errors_exit_2():
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--restarts", "0"],
         ["moe", *point, "--restarts", "0"],
         ["capacity", "--q", "nan,0.5,0.25,0.25", "--mu", "0.3"],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "2", "--threads=-3"],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "2", "--threads", "0"],
+        # sweep-p takes its weight range from --param-min/--param-max only.
+        ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--param", "0.9", "--steps", "2"],
+        ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--q", "1,0,0,0", "--steps", "2"],
+        ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--param", "0.9",
+         "--q", "1,0,0,0", "--steps", "2"],
     ]:
         assert_usage_error(args)
 
@@ -306,7 +313,7 @@ SEARCH = {
     "--restarts": ints_below(1),
     "--seed": ints_below(0),
 }
-SWEEP = {**SEARCH, "--steps": ints_below(2), "--threads": st.sampled_from(["nan", "inf"])}
+SWEEP = {**SEARCH, "--steps": ints_below(2), "--threads": ints_below(1)}
 SYMMETRIC = ("--family", "symmetric", "--param", "0.3")
 DEPOLARIZING = ("--family", "depolarizing", "--param", "0.7")
 

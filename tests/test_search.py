@@ -1,12 +1,21 @@
 """Global minimal-output-entropy search against the closed-form oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paulimem.channel import ChannelSpec, preset_depolarizing, preset_symmetric
+import paulimem
+from paulimem.channel import ChannelSpec, _kraus_stack, preset_depolarizing, preset_symmetric
 from paulimem.search import (
+    _entropy_objective,
+    _nelder_mead,
+    _pure_states,
+    _start_points,
     MOEMethod,
     SearchConfig,
     candidate_entropy_gap,
@@ -165,3 +174,118 @@ def test_crossing_at_symmetric_threshold():
 def test_crossing_none_without_sign_change():
     # x=1 is the identity channel: both candidates give zero entropy.
     assert crossing_mu(lambda mu: preset_depolarizing(1.0, mu)) is None
+
+
+# Channels whose best candidate input is each of the four kinds; the
+# warm starts hold the Z and Bell candidates but no X or Y product state.
+_S = 1 / math.sqrt(2)
+CANDIDATES = {
+    "Z": np.array([1, 0, 0, 0], dtype=complex),
+    "X": np.full(4, 0.5, dtype=complex),
+    "Y": np.kron([_S, 1j * _S], [_S, 1j * _S]),
+    "Bell": BELL,
+}
+CANDIDATE_CHANNELS = {
+    "Z": ChannelSpec((0.5, 0.3, 0.1, 0.1), 0.2),
+    "X": ChannelSpec((0.5, 0.1, 0.3, 0.1), 0.2),
+    "Y": ChannelSpec((0.5, 0.1, 0.1, 0.3), 0.2),
+    "Bell": ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.8),
+}
+
+
+def test_batched_states_match_parametrize_bitwise():
+    angles = np.random.default_rng(63).uniform(-4, 8, size=(50, 6))
+    angles[::7, :3] = [0.0, math.pi / 2, math.pi / 4]
+    states = _pure_states(angles)
+    for row, a in zip(states, angles):
+        assert np.array_equal(row, parametrize_pure_state(a))
+
+
+def test_each_restart_descends_alone_as_in_the_batch():
+    spec = ChannelSpec((0.45, 0.25, 0.2, 0.1), 0.35)
+    objective = _entropy_objective(_kraus_stack(spec))
+    starts = _start_points(SearchConfig(restarts=14, seed=5))
+    xs, fs, steps, evaluations = _nelder_mead(objective, starts, 2000, tight=False)
+    alone_steps = alone_evaluations = 0
+    for start, x, f in zip(starts, xs, fs):
+        x1, f1, s1, e1 = _nelder_mead(objective, start[None], 2000, tight=False)
+        assert np.array_equal(x1[0], x) and f1[0] == f
+        alone_steps = max(alone_steps, s1)
+        alone_evaluations += e1
+    # The batch runs as long as its slowest simplex and scores the same points.
+    assert (steps, evaluations) == (alone_steps, alone_evaluations)
+
+
+@pytest.mark.parametrize("kind", sorted(CANDIDATE_CHANNELS))
+def test_default_search_finds_every_candidate_kind(kind):
+    spec = CANDIDATE_CHANNELS[kind]
+    entropies = {k: output_entropy(spec, v) for k, v in CANDIDATES.items()}
+    assert min(entropies, key=entropies.get) == kind
+    result = minimize_output_entropy(spec)
+    assert result.converged is True
+    assert abs(result.entropy_bits - entropies[kind]) <= 1e-9
+
+
+def test_restarts_follow_scipy_nelder_mead():
+    from scipy.optimize import minimize
+
+    spec = ChannelSpec((0.35, 0.15, 0.4, 0.1), 0.3)
+    cfg = SearchConfig(restarts=12, seed=11)
+    starts = _start_points(cfg)
+    options = {"maxiter": cfg.max_iterations, "xatol": 1e-6, "fatol": 1e-10}
+
+    # Same objective: every restart takes scipy's steps and ends on its point.
+    objective = _entropy_objective(_kraus_stack(spec))
+    xs, fs, _, _ = _nelder_mead(objective, starts, cfg.max_iterations, tight=False)
+    for x0, x, f in zip(starts, xs, fs):
+        ref = minimize(lambda a: objective(a[None])[0], x0, method="Nelder-Mead", options=options)
+        assert np.array_equal(ref.x, x) and ref.fun == f
+
+    # Independent objective through the channel's apply: the best agrees.
+    reference = min(
+        minimize(
+            lambda a: output_entropy(spec, parametrize_pure_state(a)),
+            x0,
+            method="Nelder-Mead",
+            options=options,
+        ).fun
+        for x0 in starts
+    )
+    assert abs(minimize_output_entropy(spec, cfg).entropy_bits - reference) <= 1e-9
+
+
+def test_search_effort_is_reported_and_deterministic():
+    spec = preset_depolarizing(0.7, 0.45)
+    cfg = SearchConfig(restarts=10, max_iterations=600, seed=123)
+    a = minimize_output_entropy(spec, cfg)
+    b = minimize_output_entropy(spec, cfg)
+    assert (a.evaluations, a.iterations) == (b.evaluations, b.iterations)
+    assert isinstance(a.evaluations, int) and isinstance(a.iterations, int)
+    # Each of the 11 descents (10 restarts and the polish) scores its
+    # 7-vertex initial simplex and at least one point per step.
+    assert a.evaluations >= 11 * 7 + a.iterations
+    assert 0 < a.iterations <= 2 * (cfg.max_iterations - 1)
+
+
+def test_max_iterations_caps_every_descent():
+    result = minimize_output_entropy(
+        preset_symmetric(0.3, 0.5), SearchConfig(restarts=3, max_iterations=1)
+    )
+    assert result.iterations == 0
+    assert result.evaluations == 4 * 7
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, paulimem, paulimem.cli; "
+        "print(any(m.startswith('scipy') for m in sys.modules))"
+    )
+    src = str(Path(paulimem.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
