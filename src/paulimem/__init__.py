@@ -45,7 +45,6 @@ from .spectral import (
     von_neumann_entropy_bits,
 )
 from .symmetric import (
-    AnsatzBranch,
     AnsatzState,
     OptimalInputReport,
     Regime,
@@ -61,7 +60,6 @@ from .symmetric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzBranch",
     "AnsatzState",
     "CapacityResult",
     "ChannelSpec",

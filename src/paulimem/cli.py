@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -303,30 +303,25 @@ def _run_sweep(args, parser, sweep_param: bool) -> int:
             jobs.append((point_param, build(point_param, point_mu), cfg))
     force_numeric = family == "Custom" or args.numeric
 
-    def work(job):
-        point_param, spec, cfg = job
+    records, converged = [], True
+    for point_param, spec, cfg in jobs:
         result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
-        record = SweepRecord(
-            family=family,
-            param=point_param,
-            mu=spec.mu,
-            s_min_bits=result.s_min_bits,
-            capacity_bits=result.chi_bits,
-            regime=result.regime.value,
-            method=_method_label(result.method),
+        records.append(
+            SweepRecord(
+                family=family,
+                param=point_param,
+                mu=spec.mu,
+                s_min_bits=result.s_min_bits,
+                capacity_bits=result.chi_bits,
+                regime=result.regime.value,
+                method=_method_label(result.method),
+            )
         )
-        return record, result.converged
+        converged = converged and result.converged
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(work, jobs))
-    else:
-        outcomes = [work(job) for job in jobs]
-
-    records = [rec for rec, _ in outcomes]
     with _out_stream(args.out) as stream:
         _emit_records(records, args, stream)
-    if not all(conv for _, conv in outcomes):
+    if not converged:
         print("warning: numeric search did not converge at every grid point", file=sys.stderr)
         return 3
     return 0
@@ -574,7 +569,12 @@ def _add_common_options(sp, threads=False):
     sp.add_argument("--restarts", type=int, default=64, help="search restarts")
     sp.add_argument("--tolerance", type=float, default=1e-9, help="search entropy tolerance in bits")
     if threads:
-        sp.add_argument("--threads", type=int, default=1, help="parallel grid evaluations")
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; grid points run in order in one thread",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -635,9 +635,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_writable_out(path: str | None, parser) -> None:
+    """Reject an ``--out`` path that cannot be written, before any computation."""
+    if path is None or path == "-":
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        parser.error(f"--out {path!r} is a directory")
+    if not os.path.isdir(folder):
+        parser.error(f"--out {path!r}: directory {folder!r} does not exist")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        parser.error(f"--out {path!r} is not writable")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _require_writable_out(args.out, parser)
     return args.handler(args, parser)
 
 

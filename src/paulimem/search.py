@@ -12,7 +12,9 @@ restart simplices in lock-step: each step gathers the trial points of
 every simplex still running and scores them with one batched call
 (states, channel outputs and one stacked ``eigvalsh``), and a simplex
 leaves the batch when it meets its stop test.  Each restart ends
-exactly where it would end alone.
+exactly where it would end alone.  The first eight restarts start on
+the computational basis and Bell states; the rest start at points drawn
+uniformly from the angle box by ``np.random.default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -238,14 +240,11 @@ def _nelder_mead(objective, starts: np.ndarray, max_iterations: int, tight: bool
 
 
 def _start_points(config: SearchConfig) -> np.ndarray:
+    """The warm starts, then seeded uniform draws over the angle box."""
     starts = np.array(_WARM_STARTS[: config.restarts])
     extra = config.restarts - len(starts)
     if extra > 0:
-        # scipy is needed only here, so importing paulimem does not load it.
-        from scipy.stats import qmc
-
-        sampler = qmc.Halton(d=6, scramble=True, seed=config.seed)
-        box = sampler.random(extra)
+        box = np.random.default_rng(config.seed).random((extra, 6))
         box[:, :3] *= _HALF_PI
         box[:, 3:] *= 2.0 * math.pi
         starts = np.vstack([starts, box])

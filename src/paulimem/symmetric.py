@@ -31,13 +31,6 @@ class Regime(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-class AnsatzBranch(enum.Enum):
-    """Support of the two-amplitude input family."""
-
-    SPAN_00_11 = "ZeroZero-OneOne"
-    SPAN_01_10 = "ZeroOne-OneZero"
-
-
 @dataclass(frozen=True)
 class SymmetricParams:
     """Weights of the symmetric family plus the derived constants.
@@ -67,11 +60,10 @@ class SymmetricParams:
 
 @dataclass(frozen=True)
 class AnsatzState:
-    """Two-amplitude pure input ``cos(theta)|a> + e^(i phi) sin(theta)|b>``."""
+    """Two-amplitude pure input ``cos(theta)|00> + e^(i phi) sin(theta)|11>``."""
 
     theta: float
     phi: float = 0.0
-    branch: AnsatzBranch = AnsatzBranch.SPAN_00_11
 
     def __post_init__(self):
         theta = float(self.theta)
@@ -100,21 +92,9 @@ def ansatz_state_vector(state: AnsatzState) -> np.ndarray:
     s = math.sin(state.theta)
     phase = complex(math.cos(state.phi), math.sin(state.phi))
     v = np.zeros(4, dtype=complex)
-    if state.branch is AnsatzBranch.SPAN_00_11:
-        v[0] = c
-        v[3] = phase * s
-    else:
-        v[1] = c
-        v[2] = phase * s
+    v[0] = c
+    v[3] = phase * s
     return v
-
-
-def _require_computed_branch(state: AnsatzState) -> None:
-    if state.branch is not AnsatzBranch.SPAN_00_11:
-        raise ValueError(
-            "closed forms cover the |00>/|11> branch only; the |01>/|10> "
-            "branch maps onto it by the covariance of the channel"
-        )
 
 
 def pauli_expansion_coefficients(
@@ -132,7 +112,6 @@ def pauli_expansion_coefficients(
 
     and everything else zero.
     """
-    _require_computed_branch(state)
     eta, big_c, mu = params.eta, params.big_c, params.mu
     cos2t = math.cos(2.0 * state.theta)
     sin2t = math.sin(2.0 * state.theta)
@@ -164,7 +143,6 @@ def output_eigenvalues(params: SymmetricParams, state: AnsatzState) -> np.ndarra
     with ``Delta = sqrt(eta^2 cos^2 2theta + mu^2 sin^2 2theta
     (cos^2 phi + eta^2 sin^2 phi))``.
     """
-    _require_computed_branch(state)
     big_c = params.big_c
     delta = _delta(params, state.theta, state.phi)
     lam = np.array(

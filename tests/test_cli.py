@@ -263,8 +263,19 @@ def test_custom_q_rejected_above_tolerance():
     assert code == 2
 
 
-def test_argument_errors_exit_2():
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a rejected argument reached a computation")
+
+
+#: The CLI's computations, to be patched to fail if a rejected argv reaches one.
+COMPUTATIONS = dict.fromkeys(
+    ("two_qubit_capacity", "minimize_output_entropy", "crossing_mu"), _unreachable
+)
+
+
+def test_argument_errors_exit_2(tmp_path):
     point = ["--family", "symmetric", "--param", "0.3", "--mu", "0.5"]
+    missing = str(tmp_path / "missing" / "out.txt")
     for args in [
         ["capacity", "--family", "symmetric", "--param", "0.7", "--mu", "0.5"],
         ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "1.5"],
@@ -289,8 +300,19 @@ def test_argument_errors_exit_2():
         ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--q", "1,0,0,0", "--steps", "2"],
         ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--param", "0.9",
          "--q", "1,0,0,0", "--steps", "2"],
+        # An --out path that cannot be written is rejected before any computation.
+        ["capacity", *point, "--out", missing],
+        ["capacity", *point, "--out", str(tmp_path)],
+        ["moe", *point, "--out", missing],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--out", missing],
+        ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--out", str(tmp_path)],
+        ["threshold", "--p", "0.3", "--out", missing],
+        ["threshold", "--p", "0.3", "--out", str(tmp_path)],
+        ["verify", "--grid-density", "low", "--out", missing],
     ]:
-        assert_usage_error(args)
+        with mock.patch.multiple(cli, **COMPUTATIONS):
+            assert_usage_error(args)
+    assert list(tmp_path.iterdir()) == []
 
 
 def outside(lo, hi):
@@ -337,17 +359,10 @@ BAD_ARGVS = st.sampled_from(
 ).flatmap(lambda case: case[2].map(lambda value: [*case[0], f"{case[1]}={value}"]))
 
 
-def _unreachable(*args, **kwargs):
-    raise AssertionError("a rejected argument reached a computation")
-
-
 @settings(max_examples=200, deadline=None, database=None)
 @given(BAD_ARGVS)
 def test_rejected_option_values_exit_2_before_any_search(args):
-    computations = dict.fromkeys(
-        ("two_qubit_capacity", "minimize_output_entropy", "crossing_mu"), _unreachable
-    )
-    with mock.patch.multiple(cli, **computations), warnings.catch_warnings():
+    with mock.patch.multiple(cli, **COMPUTATIONS), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_usage_error(args)
 
@@ -526,7 +541,7 @@ def test_moe_reports_search_result(tmp_path):
     assert abs(coeffs[0] - np.sqrt(0.5)) < 1e-4
 
 
-def test_unconfirmed_search_exits_3(capsys):
+def test_unconfirmed_search_exits_3(capsys, tmp_path):
     # A single restart cannot confirm itself, so the search reports
     # non-convergence and the report goes to standard error.
     code = run_cli(
@@ -537,6 +552,13 @@ def test_unconfirmed_search_exits_3(capsys):
     captured = capsys.readouterr()
     assert "converged: false" in captured.err
     assert captured.out == ""
+
+    out = tmp_path / "moe.txt"
+    code = run_cli(
+        ["moe", "--family", "depolarizing", "--param", "0.7", "--mu", "0.5",
+         "--restarts", "1", "--out", str(out)]
+    )
+    assert code == 3 and not out.exists()
 
     code = run_cli(
         ["capacity", "--family", "depolarizing", "--param", "0.7", "--mu", "0.5",

@@ -9,7 +9,6 @@ from paulimem.channel import apply, preset_symmetric
 from paulimem.pauli import pauli_pair
 from paulimem.spectral import hermitian_eigenvalues, shannon_entropy_bits
 from paulimem.symmetric import (
-    AnsatzBranch,
     AnsatzState,
     Regime,
     SymmetricParams,
@@ -89,15 +88,6 @@ def test_expansion_reconstructs_channel_output():
         direct = apply(preset_symmetric(p, mu), np.outer(v, v.conj()))
         rebuilt = expansion_to_matrix(pauli_expansion_coefficients(params, state))
         assert np.abs(direct - rebuilt).max() < 1e-12
-
-
-def test_expansion_rejects_other_branch():
-    params = SymmetricParams(0.3, 0.5)
-    other = AnsatzState(0.3, 0.0, AnsatzBranch.SPAN_01_10)
-    with pytest.raises(ValueError):
-        pauli_expansion_coefficients(params, other)
-    with pytest.raises(ValueError):
-        output_eigenvalues(params, other)
 
 
 def test_output_eigenvalues_examples():
@@ -270,7 +260,9 @@ def test_branch_equivalence_under_first_qubit_flip():
         theta = rng.uniform(0.0, math.pi / 2)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         spec = preset_symmetric(p, mu)
-        v_other = ansatz_state_vector(AnsatzState(theta, phi, AnsatzBranch.SPAN_01_10))
+        v_other = np.array(
+            [0.0, math.cos(theta), np.exp(1j * phi) * math.sin(theta), 0.0]
+        )
         mapped = flip @ ansatz_state_vector(
             AnsatzState(math.pi / 2 - theta, (2.0 * math.pi - phi) % (2.0 * math.pi))
         )
