@@ -24,9 +24,8 @@ from .channel import (
     kraus_operators,
     preset_depolarizing,
     preset_symmetric,
-    symmetrize,
 )
-from .pauli import conjugate, pauli_matrix, pauli_pair, tensor
+from .pauli import pauli_matrix, pauli_pair
 from .search import (
     MOEMethod,
     MOEResult,
@@ -34,7 +33,6 @@ from .search import (
     candidate_entropy_gap,
     crossing_mu,
     minimize_output_entropy,
-    mixed_state_dominance_check,
     output_entropy,
     parametrize_pure_state,
     schmidt_coefficients,
@@ -74,7 +72,6 @@ __all__ = [
     "apply",
     "candidate_entropy_gap",
     "capacity_symmetric",
-    "conjugate",
     "covariance_residual",
     "covariant_ensemble",
     "crossing_mu",
@@ -84,7 +81,6 @@ __all__ = [
     "joint_distribution",
     "kraus_operators",
     "minimize_output_entropy",
-    "mixed_state_dominance_check",
     "optimal_input",
     "output_eigenvalues",
     "output_entropy",
@@ -96,8 +92,6 @@ __all__ = [
     "preset_symmetric",
     "schmidt_coefficients",
     "shannon_entropy_bits",
-    "symmetrize",
-    "tensor",
     "threshold",
     "two_qubit_capacity",
     "von_neumann_entropy_bits",

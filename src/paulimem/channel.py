@@ -159,15 +159,3 @@ def ensemble_average_output(spec: ChannelSpec, rho) -> np.ndarray:
         out += _apply_stack(stack, u @ rho @ u)
     return out / 16.0
 
-
-def symmetrize(rho) -> np.ndarray:
-    """Average the input with its image under ``s_1 (x) s_1``.
-
-    The result commutes with ``s_1 (x) s_1``; in the computational basis
-    only the diagonal and the |00><11| and |01><10| corners survive.
-    This is an idempotent, channel-compatible preoperation for channels
-    with ``q0 = q1`` and ``q2 = q3``.
-    """
-    rho = validate_density_matrix(rho)
-    s11 = pauli_pair(1, 1)
-    return 0.5 * (rho + s11 @ rho @ s11)

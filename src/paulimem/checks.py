@@ -1,0 +1,169 @@
+"""The invariants that ``paulimem verify`` checks, one function each.
+
+A check ``check(rng, sizes, seed) -> float`` draws random channels and
+states from the shared generator ``rng``, takes grid sizes and a sample
+count from ``sizes`` (a row of ``DENSITIES``), seeds its searches with
+``point_seed(seed, ...)`` and returns the worst residual it saw.
+``CHECKS`` lists the checks in run order, which fixes what each draws.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import channel as ch
+from .capacity import two_qubit_capacity
+from .pauli import pauli_matrix
+from .search import SearchConfig, minimize_output_entropy
+from .spectral import hermitian_eigenvalues
+from .symmetric import AnsatzState, SymmetricParams, ansatz_state_vector
+from .symmetric import optimal_input, output_eigenvalues
+
+#: ``--grid-density`` -> grid sizes and random sample count of the checks.
+DENSITIES = {
+    "low": {"eig_grid": (6, 6, 6, 4), "search_grid": (3, 3), "samples": 25},
+    "default": {"eig_grid": (10, 10, 8, 6), "search_grid": (5, 5), "samples": 50},
+    "high": {"eig_grid": (20, 20, 12, 8), "search_grid": (8, 8), "samples": 100},
+}
+
+
+def point_seed(base_seed: int, index: int) -> int:
+    """Seed of point ``index`` under ``base_seed``, independent of the other points."""
+    seq = np.random.SeedSequence((base_seed, index))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
+def random_spec(rng) -> ch.ChannelSpec:
+    """Channel with Dirichlet(1) weights and a uniform memory factor."""
+    q = rng.dirichlet(np.ones(4))
+    q = q / q.sum()
+    return ch.ChannelSpec(tuple(q), float(rng.uniform()))
+
+
+def random_pure_state(rng) -> np.ndarray:
+    """Pure two-qubit state with complex Gaussian amplitudes, normalized."""
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
+def _lean_config(seed: int) -> SearchConfig:
+    # The warm starts hold every grid point's optimum and the gap identity
+    # holds for any state the search returns, so a small budget suffices.
+    return SearchConfig(restarts=6, max_iterations=150, seed=seed)
+
+
+def pauli_algebra(rng, sizes, seed) -> float:
+    """Involution, anticommutation and ``s_0 (x) s_0 = I``."""
+    eye2 = np.eye(2)
+    residual = 0.0
+    for i in range(4):
+        si = pauli_matrix(i)
+        residual = max(residual, np.abs(si @ si - eye2).max())
+    for i in range(1, 4):
+        for j in range(1, 4):
+            if i != j:
+                si, sj = pauli_matrix(i), pauli_matrix(j)
+                residual = max(residual, np.abs(si @ sj + sj @ si).max())
+    return max(residual, np.abs(np.kron(eye2, eye2) - np.eye(4)).max())
+
+
+def kraus_completeness(rng, sizes, seed) -> float:
+    """``sum_k K_k+ K_k = I`` for random channels."""
+    residual = 0.0
+    for _ in range(sizes["samples"]):
+        spec = random_spec(rng)
+        total = sum(k.conj().T @ k for k in ch.kraus_operators(spec))
+        residual = max(residual, np.abs(total - np.eye(4)).max())
+    return residual
+
+
+def covariance(rng, sizes, seed) -> float:
+    """Covariance under all 16 Pauli-pair rotations of random pure inputs."""
+    residual = 0.0
+    for _ in range(sizes["samples"]):
+        spec = random_spec(rng)
+        v = random_pure_state(rng)
+        rho = np.outer(v, v.conj())
+        for i in range(4):
+            for j in range(4):
+                residual = max(residual, ch.covariance_residual(spec, rho, i, j))
+    return residual
+
+
+def averaged_output(rng, sizes, seed) -> float:
+    """The rotation-averaged output is I/4 for every input."""
+    residual = 0.0
+    eye4 = np.eye(4) / 4.0
+    for _ in range(sizes["samples"]):
+        spec = random_spec(rng)
+        v = random_pure_state(rng)
+        avg = ch.ensemble_average_output(spec, np.outer(v, v.conj()))
+        residual = max(residual, np.abs(avg - eye4).max())
+    return residual
+
+
+def closed_form_spectrum(rng, sizes, seed) -> float:
+    """Closed-form output eigenvalues of the ansatz against dense diagonalization."""
+    n_p, n_mu, n_theta, n_phi = sizes["eig_grid"]
+    residual = 0.0
+    for p in np.linspace(0.0, 0.5, n_p):
+        for mu in np.linspace(0.0, 1.0, n_mu):
+            params = SymmetricParams(p, mu)
+            spec = ch.preset_symmetric(p, mu)
+            for theta in np.linspace(0.0, math.pi / 2, n_theta):
+                for phi in np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False):
+                    state = AnsatzState(theta, phi)
+                    v = ansatz_state_vector(state)
+                    dense = hermitian_eigenvalues(ch.apply(spec, np.outer(v, v.conj())))
+                    formula = output_eigenvalues(params, state)
+                    residual = max(residual, np.abs(dense - formula).max())
+    return residual
+
+
+def closed_form_minimum(rng, sizes, seed) -> float:
+    """Closed-form minimal output entropy against the global search."""
+    n_p, n_mu = sizes["search_grid"]
+    residual = 0.0
+    for i, p in enumerate(np.linspace(0.0, 0.5, n_p)):
+        for j, mu in enumerate(np.linspace(0.0, 1.0, n_mu)):
+            analytic = optimal_input(SymmetricParams(p, mu)).s_min_bits
+            cfg = _lean_config(point_seed(seed, 10_000 + i * n_mu + j))
+            found = minimize_output_entropy(ch.preset_symmetric(p, mu), cfg).entropy_bits
+            residual = max(residual, abs(found - analytic))
+    return residual
+
+
+def saturation_gap(rng, sizes, seed) -> float:
+    """The covariant ensemble of the minimizer attains ``2 - S_min``."""
+    residual = 0.0
+    for k in range(sizes["samples"]):
+        spec = random_spec(rng)
+        cfg = _lean_config(point_seed(seed, 20_000 + k))
+        residual = max(residual, two_qubit_capacity(spec, cfg).saturation_gap)
+    return residual
+
+
+def perfect_memory(rng, sizes, seed) -> float:
+    """Every channel with ``mu = 1`` transmits two bits."""
+    residual = 0.0
+    for k in range(sizes["samples"]):
+        q = rng.dirichlet(np.ones(4))
+        spec = ch.ChannelSpec(tuple(q / q.sum()), 1.0)
+        cfg = _lean_config(point_seed(seed, 30_000 + k))
+        residual = max(residual, abs(two_qubit_capacity(spec, cfg).chi_bits - 2.0))
+    return residual
+
+
+#: (name, check, tolerance) in the order ``verify`` runs and prints them.
+CHECKS = (
+    ("pauli algebra identities", pauli_algebra, 1e-12),
+    ("kraus completeness", kraus_completeness, 1e-12),
+    ("pauli-rotation covariance", covariance, 1e-10),
+    ("averaged output maximally mixed", averaged_output, 1e-12),
+    ("closed-form spectrum vs dense diagonalization", closed_form_spectrum, 1e-9),
+    ("closed-form minimum vs global search", closed_form_minimum, 1e-6),
+    ("covariant-ensemble saturation gap", saturation_gap, 1e-8),
+    ("perfect memory transmits 2 bits", perfect_memory, 1e-9),
+)

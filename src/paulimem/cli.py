@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as ch
-from . import pauli
+from . import checks
 from .capacity import two_qubit_capacity
 from .search import (
     MOEMethod,
@@ -26,16 +26,7 @@ from .search import (
     minimize_output_entropy,
     schmidt_coefficients,
 )
-from .spectral import hermitian_eigenvalues
-from .symmetric import (
-    AnsatzState,
-    SymmetricParams,
-    ansatz_state_vector,
-    capacity_symmetric,
-    optimal_input,
-    output_eigenvalues,
-    threshold,
-)
+from .symmetric import capacity_symmetric, threshold
 
 #: Custom weights are renormalized only below this deviation from 1.
 Q_RENORM_TOL = 1e-9
@@ -54,18 +45,6 @@ class SweepRecord:
     capacity_bits: float
     regime: str
     method: str
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Analytic and bisected memory threshold with one-sided slopes."""
-
-    p: float
-    mu_t_analytic: float
-    mu_t_numeric: float
-    left_slope: float
-    right_slope: float
-    note: str
 
 
 def _fmt(x: float) -> str:
@@ -90,11 +69,6 @@ def _out_stream(path: str | None):
             yield handle
         finally:
             handle.close()
-
-
-def _point_seed(base_seed: int, index: int) -> int:
-    seq = np.random.SeedSequence((base_seed, index))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
@@ -174,6 +148,22 @@ def _capacity_value(chi_bits: float, args) -> float:
     return chi_bits / 2.0 if args.per_qubit else chi_bits
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return value
+
+
+def _write_json(payload, stream) -> None:
+    stream.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False))
+    stream.write("\n")
+
+
 def _emit_records(records, args, stream) -> None:
     if args.json:
         payload = []
@@ -189,8 +179,7 @@ def _emit_records(records, args, stream) -> None:
                     "method": rec.method,
                 }
             )
-        stream.write(json.dumps(payload, indent=2))
-        stream.write("\n")
+        _write_json(payload, stream)
         return
     header = list(CSV_COLUMNS)
     header[4] = _capacity_key(args)
@@ -214,8 +203,7 @@ def _emit_records(records, args, stream) -> None:
 
 def _emit_report(pairs, args, stream) -> None:
     if args.json:
-        stream.write(json.dumps(dict(pairs), indent=2))
-        stream.write("\n")
+        _write_json(dict(pairs), stream)
         return
     for key, value in pairs:
         if isinstance(value, bool):
@@ -299,7 +287,7 @@ def _run_sweep(args, parser, sweep_param: bool) -> int:
         jobs = []
         for index, v in enumerate(np.linspace(lo, hi, args.steps)):
             point_param, point_mu = (float(v), mu) if sweep_param else (param, float(v))
-            cfg = _search_config(args, _point_seed(args.seed, index))
+            cfg = _search_config(args, checks.point_seed(args.seed, index))
             jobs.append((point_param, build(point_param, point_mu), cfg))
     force_numeric = family == "Custom" or args.numeric
 
@@ -342,49 +330,33 @@ def _capacity_slope(p: float, at_mu: float, step: float = 1e-5) -> float:
     return (capacity_symmetric(p, hi) - capacity_symmetric(p, lo)) / step
 
 
-def _threshold_report(p: float, mu_t: float) -> ThresholdReport:
-    interior = 0.0 < mu_t < 1.0
-    if not interior:
-        return ThresholdReport(
-            p=p,
-            mu_t_analytic=mu_t,
-            mu_t_numeric=mu_t,
-            left_slope=math.nan,
-            right_slope=math.nan,
-            note="no interior threshold",
-        )
+def _threshold_report(p: float, mu_t: float) -> list[tuple[str, object]]:
+    """Report pairs: analytic and bisected threshold with one-sided slopes."""
+    pairs = [("p", p), ("mu_t_analytic", mu_t)]
+    if not 0.0 < mu_t < 1.0:
+        return pairs + [
+            ("mu_t_numeric", mu_t),
+            ("left_slope", math.nan),
+            ("right_slope", math.nan),
+            ("note", "no interior threshold"),
+        ]
     numeric = crossing_mu(lambda m: ch.preset_symmetric(p, m), tol=1e-6)
-    note = ""
+    pairs += [
+        ("mu_t_numeric", numeric if numeric is not None else math.nan),
+        ("left_slope", _capacity_slope(p, mu_t - 1e-4)),
+        ("right_slope", _capacity_slope(p, mu_t + 1e-4)),
+    ]
     if p < 0.25:
-        note = (
-            f"signed expression 4p-1 = {4 * p - 1:.6g} is negative here; "
-            "the entropy comparison uses its magnitude"
-        )
-    return ThresholdReport(
-        p=p,
-        mu_t_analytic=mu_t,
-        mu_t_numeric=numeric if numeric is not None else math.nan,
-        left_slope=_capacity_slope(p, mu_t - 1e-4),
-        right_slope=_capacity_slope(p, mu_t + 1e-4),
-        note=note,
-    )
+        note = f"signed expression 4p-1 = {4 * p - 1:.6g} is negative here; "
+        pairs.append(("note", note + "the entropy comparison uses its magnitude"))
+    return pairs
 
 
 def _run_threshold(args, parser) -> int:
     with _usage_errors(parser):
         mu_t = threshold(args.p)
-    report = _threshold_report(args.p, mu_t)
-    pairs = [
-        ("p", report.p),
-        ("mu_t_analytic", report.mu_t_analytic),
-        ("mu_t_numeric", report.mu_t_numeric),
-        ("left_slope", report.left_slope),
-        ("right_slope", report.right_slope),
-    ]
-    if report.note:
-        pairs.append(("note", report.note))
     with _out_stream(args.out) as stream:
-        _emit_report(pairs, args, stream)
+        _emit_report(_threshold_report(args.p, mu_t), args, stream)
     return 0
 
 
@@ -404,146 +376,22 @@ def _run_moe(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-_DENSITIES = {
-    "low": {"eig_grid": (6, 6, 6, 4), "search_grid": (3, 3), "samples": 25},
-    "default": {"eig_grid": (10, 10, 8, 6), "search_grid": (5, 5), "samples": 50},
-    "high": {"eig_grid": (20, 20, 12, 8), "search_grid": (8, 8), "samples": 100},
-}
-
-
-def _random_spec(rng) -> ch.ChannelSpec:
-    q = rng.dirichlet(np.ones(4))
-    q = q / q.sum()
-    return ch.ChannelSpec(tuple(q), float(rng.uniform()))
-
-
-def _random_pure_state(rng) -> np.ndarray:
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return v / np.linalg.norm(v)
-
 
 def _run_verify(args, parser) -> int:
-    sizes = _DENSITIES[args.grid_density]
-    samples = sizes["samples"]
+    sizes = checks.DENSITIES[args.grid_density]
     with _usage_errors(parser):
         rng = np.random.default_rng(args.seed)
-    results = []
-
-    def record(stream, name, residual, tol):
-        ok = residual <= tol
-        results.append(ok)
-        status = "PASS" if ok else "FAIL"
-        stream.write(f"[{status}] {name}: residual={residual:.6e} (tol {tol:g})\n")
-
+    passed = 0
     with _out_stream(args.out) as stream:
-        stream.write(
-            f"verify: grid-density={args.grid_density} seed={args.seed}\n"
-        )
-
-        # Pauli algebra identities.
-        eye2 = np.eye(2)
-        residual = 0.0
-        for i in range(4):
-            si = pauli.pauli_matrix(i)
-            residual = max(residual, np.abs(si @ si - eye2).max())
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if i != j:
-                    si, sj = pauli.pauli_matrix(i), pauli.pauli_matrix(j)
-                    residual = max(residual, np.abs(si @ sj + sj @ si).max())
-        residual = max(residual, np.abs(pauli.tensor(eye2, eye2) - np.eye(4)).max())
-        record(stream, "pauli algebra identities", residual, 1e-12)
-
-        # Kraus completeness.
-        residual = 0.0
-        for _ in range(samples):
-            spec = _random_spec(rng)
-            total = sum(k.conj().T @ k for k in ch.kraus_operators(spec))
-            residual = max(residual, np.abs(total - np.eye(4)).max())
-        record(stream, "kraus completeness", residual, 1e-12)
-
-        # Covariance under all 16 Pauli rotations.
-        residual = 0.0
-        for _ in range(samples):
-            spec = _random_spec(rng)
-            v = _random_pure_state(rng)
-            rho = np.outer(v, v.conj())
-            for i in range(4):
-                for j in range(4):
-                    residual = max(residual, ch.covariance_residual(spec, rho, i, j))
-        record(stream, "pauli-rotation covariance", residual, 1e-10)
-
-        # Rotation-averaged output is maximally mixed.
-        residual = 0.0
-        eye4 = np.eye(4) / 4.0
-        for _ in range(samples):
-            spec = _random_spec(rng)
-            v = _random_pure_state(rng)
-            avg = ch.ensemble_average_output(spec, np.outer(v, v.conj()))
-            residual = max(residual, np.abs(avg - eye4).max())
-        record(stream, "averaged output maximally mixed", residual, 1e-12)
-
-        # Closed-form spectrum vs dense diagonalization.
-        n_p, n_mu, n_theta, n_phi = sizes["eig_grid"]
-        residual = 0.0
-        for p in np.linspace(0.0, 0.5, n_p):
-            for mu in np.linspace(0.0, 1.0, n_mu):
-                params = SymmetricParams(p, mu)
-                spec = ch.preset_symmetric(p, mu)
-                for theta in np.linspace(0.0, math.pi / 2, n_theta):
-                    for phi in np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False):
-                        state = AnsatzState(theta, phi)
-                        v = ansatz_state_vector(state)
-                        dense = hermitian_eigenvalues(
-                            ch.apply(spec, np.outer(v, v.conj()))
-                        )
-                        formula = output_eigenvalues(params, state)
-                        residual = max(residual, np.abs(dense - formula).max())
-        record(stream, "closed-form spectrum vs dense diagonalization", residual, 1e-9)
-
-        # Closed-form minimum vs global search.
-        n_p, n_mu = sizes["search_grid"]
-        residual = 0.0
-        for i, p in enumerate(np.linspace(0.0, 0.5, n_p)):
-            for j, mu in enumerate(np.linspace(0.0, 1.0, n_mu)):
-                analytic = optimal_input(SymmetricParams(p, mu)).s_min_bits
-                cfg = SearchConfig(
-                    restarts=6,
-                    max_iterations=150,
-                    seed=_point_seed(args.seed, 10_000 + i * n_mu + j),
-                )
-                found = minimize_output_entropy(
-                    ch.preset_symmetric(p, mu), cfg
-                ).entropy_bits
-                residual = max(residual, abs(found - analytic))
-        record(stream, "closed-form minimum vs global search", residual, 1e-6)
-
-        # Saturation of the covariant-ensemble bound.  The gap identity
-        # holds for the ensemble of whatever state the search returns, so
-        # a small search budget suffices.
-        residual = 0.0
-        for k in range(samples):
-            spec = _random_spec(rng)
-            cfg = SearchConfig(
-                restarts=6, max_iterations=150, seed=_point_seed(args.seed, 20_000 + k)
-            )
-            residual = max(residual, two_qubit_capacity(spec, cfg).saturation_gap)
-        record(stream, "covariant-ensemble saturation gap", residual, 1e-8)
-
-        # Perfect memory transmits two bits.
-        residual = 0.0
-        for k in range(samples):
-            q = rng.dirichlet(np.ones(4))
-            spec = ch.ChannelSpec(tuple(q / q.sum()), 1.0)
-            cfg = SearchConfig(
-                restarts=6, max_iterations=150, seed=_point_seed(args.seed, 30_000 + k)
-            )
-            residual = max(residual, abs(two_qubit_capacity(spec, cfg).chi_bits - 2.0))
-        record(stream, "perfect memory transmits 2 bits", residual, 1e-9)
-
-        passed = sum(results)
-        stream.write(f"verify: {passed}/{len(results)} checks passed\n")
-    return 0 if passed == len(results) else 1
+        stream.write(f"verify: grid-density={args.grid_density} seed={args.seed}\n")
+        for name, check, tol in checks.CHECKS:
+            residual = check(rng, sizes, args.seed)
+            ok = residual <= tol
+            passed += ok
+            status = "PASS" if ok else "FAIL"
+            stream.write(f"[{status}] {name}: residual={residual:.6e} (tol {tol:g})\n")
+        stream.write(f"verify: {passed}/{len(checks.CHECKS)} checks passed\n")
+    return 0 if passed == len(checks.CHECKS) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="cross-module invariant suite")
     sp.add_argument(
         "--grid-density",
-        choices=sorted(_DENSITIES),
+        choices=sorted(checks.DENSITIES),
         default="default",
     )
     sp.add_argument("--seed", type=int, default=42)
@@ -639,6 +487,8 @@ def _require_writable_out(path: str | None, parser) -> None:
     """Reject an ``--out`` path that cannot be written, before any computation."""
     if path is None or path == "-":
         return
+    if not path:
+        parser.error("--out must name a file or '-', got an empty path")
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         parser.error(f"--out {path!r} is a directory")

@@ -16,12 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Entrywise absolute tolerance for operator equality.
-ATOL = 1e-12
-
-#: Bound on ||U U+ - I||_max accepted by :func:`conjugate`.
-UNITARY_TOL = 1e-10
-
 
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=complex)
@@ -58,30 +52,7 @@ def pauli_matrix(i: int) -> np.ndarray:
     return _PAULI[validate_pauli_index(i)].copy()
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with row-major blocks.
-
-    ``out[2r+s, 2c+t] = a[r, c] * b[s, t]`` for 2x2 inputs, so the first
-    factor addresses the first qubit.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def pauli_pair(i: int, j: int) -> np.ndarray:
     """``sigma_i (x) sigma_j`` as a fresh 4x4 array."""
     return _PAIRS[4 * validate_pauli_index(i) + validate_pauli_index(j)].copy()
 
-
-def conjugate(u, rho) -> np.ndarray:
-    """Adjoint action ``U rho U+`` of a unitary ``U``.
-
-    Raises ValueError if ``U`` fails the unitarity bound
-    ``||U U+ - I||_max <= UNITARY_TOL``.
-    """
-    u = np.asarray(u, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    eye = np.eye(u.shape[0])
-    defect = np.abs(u @ u.conj().T - eye).max()
-    if defect > UNITARY_TOL:
-        raise ValueError(f"operator is not unitary: ||U U+ - I||_max = {defect:.3e}")
-    return u @ rho @ u.conj().T

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,16 +45,16 @@ class SearchConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.restarts >= 1:
-            raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if not self.max_iterations >= 1:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+        for name in ("restarts", "max_iterations"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.entropy_tolerance < math.inf:
             raise ValueError(
                 f"entropy_tolerance must be finite and positive, got {self.entropy_tolerance}"
             )
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 class MOEMethod(enum.Enum):
@@ -290,27 +291,6 @@ def minimize_output_entropy(
         evaluations=evaluations + polish_evaluations,
         iterations=steps + polish_steps,
     )
-
-
-def mixed_state_dominance_check(spec: ChannelSpec, trials: int, seed: int) -> bool:
-    """Spot-check that no sampled mixed input beats its own eigenvectors.
-
-    Samples random density matrices and verifies
-    ``S(E(rho)) >= min_v S(E(|v><v|)) - 1e-9`` over the eigenvectors
-    ``v`` of each sample, which is what concavity of the entropy
-    guarantees.  Returns True iff every sample passes.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ g.conj().T
-        rho /= rho.trace().real
-        mixed_entropy = von_neumann_entropy_bits(apply(spec, rho))
-        _, vecs = np.linalg.eigh(rho)
-        best_pure = min(output_entropy(spec, vecs[:, k]) for k in range(4))
-        if mixed_entropy < best_pure - 1e-9:
-            return False
-    return True
 
 
 def schmidt_coefficients(state) -> np.ndarray:

@@ -59,6 +59,9 @@ NAN_MATRIX = np.full((4, 4), NAN)
         lambda: SearchConfig(entropy_tolerance=NAN),
         lambda: SearchConfig(entropy_tolerance=np.inf),
         lambda: SearchConfig(seed=-1),
+        lambda: SearchConfig(restarts=2.5),
+        lambda: SearchConfig(max_iterations=2.5),
+        lambda: SearchConfig(restarts=12, seed=1.5),
         lambda: Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([NAN, 1.0])),
         lambda: shannon_entropy_bits([NAN, 1.0]),
         lambda: hermitian_eigenvalues(NAN_MATRIX),
@@ -67,7 +70,8 @@ NAN_MATRIX = np.full((4, 4), NAN)
     ],
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
-        "config-seed", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
+        "config-seed", "config-restarts-float", "config-iterations-float",
+        "config-seed-float", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
     ],
 )
 def test_invalid_input_raises_value_error(call):

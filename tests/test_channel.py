@@ -12,7 +12,6 @@ from paulimem.channel import (
     kraus_operators,
     preset_depolarizing,
     preset_symmetric,
-    symmetrize,
 )
 from paulimem.pauli import pauli_matrix, pauli_pair
 from paulimem.spectral import hermitian_eigenvalues
@@ -200,35 +199,10 @@ def test_average_output_maximally_mixed():
         assert np.abs(out - eye).max() < 1e-12
 
 
-def test_symmetrize_fixes_invariant_state():
-    assert np.abs(symmetrize(PROJ_00) - PROJ_00).max() < 1e-15
-
-
-def test_symmetrize_dephases_second_qubit_coherence():
-    # |0+><0+| averages to (|00><00| + |01><01|) / 2.
-    plus = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
-    out = symmetrize(np.outer(plus, plus.conj()))
-    assert np.abs(out - np.diag([0.5, 0.5, 0.0, 0.0])).max() < 1e-15
-
-
-def test_symmetrize_idempotent_and_invariant():
-    rng = np.random.default_rng(41)
+def _symmetrize(rho):
+    """Average ``rho`` with its image under ``s_1 (x) s_1``."""
     s11 = pauli_pair(1, 1)
-    for _ in range(100):
-        rho = random_density_matrix(rng)
-        once = symmetrize(rho)
-        assert np.abs(symmetrize(once) - once).max() < 1e-12
-        assert np.abs(s11 @ once - once @ s11).max() < 1e-12
-
-
-def test_symmetrize_sparsity_pattern():
-    # Only the diagonal and the |00><11|, |01><10| corners survive.
-    rng = np.random.default_rng(42)
-    killed = [(0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2)]
-    for _ in range(10):
-        out = symmetrize(random_density_matrix(rng))
-        for r, c in killed:
-            assert abs(out[r, c]) < 1e-12
+    return 0.5 * (rho + s11 @ rho @ s11)
 
 
 def test_symmetrize_absorbed_by_matching_channels():
@@ -238,7 +212,7 @@ def test_symmetrize_absorbed_by_matching_channels():
         spec = preset_symmetric(p, mu)
         for _ in range(10):
             rho = random_density_matrix(rng)
-            assert np.abs(apply(spec, symmetrize(rho)) - apply(spec, rho)).max() < 1e-12
+            assert np.abs(apply(spec, _symmetrize(rho)) - apply(spec, rho)).max() < 1e-12
 
 
 def test_symmetrize_not_absorbed_for_generic_weights():
@@ -246,7 +220,7 @@ def test_symmetrize_not_absorbed_for_generic_weights():
     spec = ChannelSpec((0.7, 0.1, 0.1, 0.1), 0.3)
     plus = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    assert np.abs(apply(spec, symmetrize(rho)) - apply(spec, rho)).max() > 1e-3
+    assert np.abs(apply(spec, _symmetrize(rho)) - apply(spec, rho)).max() > 1e-3
 
 
 def test_memoryless_channel_factorizes():

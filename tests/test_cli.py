@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulimem import cli
+from paulimem import checks, cli
 from paulimem.cli import main
 
 
@@ -175,12 +175,28 @@ Symmetric,0.35,1,0,2,Entangled,Analytic
   "note": "signed expression 4p-1 = -0.4 is negative here; the entropy comparison uses its magnitude"
 }
 """,
+    "threshold --p 0.25 --json": """\
+{
+  "p": 0.25,
+  "mu_t_analytic": 0.0,
+  "mu_t_numeric": 0.0,
+  "left_slope": null,
+  "right_slope": null,
+  "note": "no interior threshold"
 }
+""",
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_closed_form_stdout_is_pinned(command):
     assert run_captured(command.split()) == (0, GOLDEN_STDOUT[command], "")
+    if "--json" in command:
+        json.loads(GOLDEN_STDOUT[command], parse_constant=_reject_constant)
 
 
 def test_capacity_symmetric_analytic(tmp_path, capsys):
@@ -271,6 +287,7 @@ def _unreachable(*args, **kwargs):
 COMPUTATIONS = dict.fromkeys(
     ("two_qubit_capacity", "minimize_output_entropy", "crossing_mu"), _unreachable
 )
+UNREACHABLE_CHECKS = tuple((name, _unreachable, tol) for name, _, tol in checks.CHECKS)
 
 
 def test_argument_errors_exit_2(tmp_path):
@@ -309,8 +326,14 @@ def test_argument_errors_exit_2(tmp_path):
         ["threshold", "--p", "0.3", "--out", missing],
         ["threshold", "--p", "0.3", "--out", str(tmp_path)],
         ["verify", "--grid-density", "low", "--out", missing],
+        # An empty --out names no file.
+        ["threshold", "--p", "0.3", "--out", ""],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--out", ""],
+        ["verify", "--grid-density", "low", "--out", ""],
     ]:
-        with mock.patch.multiple(cli, **COMPUTATIONS):
+        with mock.patch.multiple(cli, **COMPUTATIONS), mock.patch.object(
+            checks, "CHECKS", UNREACHABLE_CHECKS
+        ):
             assert_usage_error(args)
     assert list(tmp_path.iterdir()) == []
 
@@ -567,14 +590,34 @@ def test_unconfirmed_search_exits_3(capsys, tmp_path):
     assert code == 3
 
 
-def test_verify_passes_and_is_deterministic(tmp_path):
-    out1 = tmp_path / "v1.txt"
-    out2 = tmp_path / "v2.txt"
-    args = ["verify", "--grid-density", "low", "--seed", "5"]
-    assert run_cli(args + ["--out", str(out1)]) == 0
-    assert run_cli(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    text = out1.read_text()
+VERIFY_LOW = ["verify", "--grid-density", "low", "--seed", "5"]
+
+
+@pytest.fixture(scope="module")
+def verify_low():
+    """Exit code, stdout and stderr of one unpatched ``VERIFY_LOW`` run."""
+    return run_captured(VERIFY_LOW)
+
+
+def test_verify_passes_and_is_deterministic(tmp_path, verify_low):
+    out = tmp_path / "v.txt"
+    assert run_cli(VERIFY_LOW + ["--out", str(out)]) == 0
+    assert verify_low == (0, out.read_text(), "")
+    text = out.read_text()
     assert text.count("[PASS]") == 8
     assert "[FAIL]" not in text
     assert "8/8 checks passed" in text
+
+
+def test_verify_failing_check_exits_1(verify_low):
+    # The failing row still makes its draws, so the rows after it see the same samples.
+    name, check, tol = checks.CHECKS[2]
+    failing = (name, lambda *draw: check(*draw) + 1.0, tol)
+    with mock.patch.object(checks, "CHECKS", (*checks.CHECKS[:2], failing, *checks.CHECKS[3:])):
+        code, out, err = run_captured(VERIFY_LOW)
+    assert (code, err) == (1, "")
+    lines, clean_lines = out.splitlines(), verify_low[1].splitlines()
+    assert lines[3].startswith(f"[FAIL] {name}: ")
+    assert lines[-1] == "verify: 7/8 checks passed"
+    del lines[3], lines[-1], clean_lines[3], clean_lines[-1]
+    assert lines == clean_lines

@@ -1,12 +1,9 @@
-"""Pauli matrices, tensor products, and unitary conjugation."""
+"""Pauli matrices and their two-qubit tensor products."""
 
 import numpy as np
 import pytest
 
-from paulimem.pauli import conjugate, pauli_matrix, pauli_pair, tensor
-from util import random_density_matrix
-
-ATOL = 1e-12
+from paulimem.pauli import pauli_matrix, pauli_pair
 
 
 def test_pauli_matrices_match_convention():
@@ -35,83 +32,31 @@ def test_involution_and_anticommutation():
 
 
 def test_tensor_identity():
-    assert np.array_equal(tensor(pauli_matrix(0), pauli_matrix(0)), np.eye(4))
+    assert np.array_equal(pauli_pair(0, 0), np.eye(4))
 
 
 def test_tensor_diagonal_pair():
     # Hand Kronecker expansion of sigma_1 (x) sigma_1.
-    assert np.array_equal(
-        tensor(pauli_matrix(1), pauli_matrix(1)),
-        np.diag([1.0 + 0j, -1.0, -1.0, 1.0]),
-    )
+    assert np.array_equal(pauli_pair(1, 1), np.diag([1.0 + 0j, -1.0, -1.0, 1.0]))
 
 
 def test_tensor_first_qubit_flip_is_block_swap():
     # sigma_2 (x) sigma_0 swaps the |0.> and |1.> blocks.
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1.0
-    assert np.array_equal(tensor(pauli_matrix(2), pauli_matrix(0)), expected)
+    assert np.array_equal(pauli_pair(2, 0), expected)
 
 
 def test_tensor_block_convention_entrywise():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    out = tensor(a, b)
-    for r in range(2):
-        for s in range(2):
-            for c in range(2):
-                for t in range(2):
-                    assert abs(out[2 * r + s, 2 * c + t] - a[r, c] * b[s, t]) < ATOL
-
-
-def test_tensor_bilinear():
-    rng = np.random.default_rng(12)
-    a1, a2, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    lhs = tensor(2.0 * a1 + a2, b)
-    rhs = 2.0 * tensor(a1, b) + tensor(a2, b)
-    assert np.abs(lhs - rhs).max() < ATOL
+    # The first factor addresses the first qubit: out[2r+s, 2c+t] = a[r, c] * b[s, t].
+    for i in range(4):
+        for j in range(4):
+            a, b, out = pauli_matrix(i), pauli_matrix(j), pauli_pair(i, j)
+            for r, s, c, t in np.ndindex(2, 2, 2, 2):
+                assert out[2 * r + s, 2 * c + t] == a[r, c] * b[s, t]
 
 
 def test_pauli_pair_matches_tensor():
     for i in range(4):
         for j in range(4):
-            assert np.array_equal(pauli_pair(i, j), tensor(pauli_matrix(i), pauli_matrix(j)))
-
-
-def test_conjugate_identity():
-    rng = np.random.default_rng(13)
-    rho = random_density_matrix(rng)
-    assert np.abs(conjugate(pauli_pair(0, 0), rho) - rho).max() < ATOL
-
-
-def test_conjugate_eigenbasis_case():
-    # |00> is an eigenvector of the diagonal pair, so its projector is fixed.
-    proj00 = np.zeros((4, 4), dtype=complex)
-    proj00[0, 0] = 1.0
-    assert np.abs(conjugate(pauli_pair(1, 1), proj00) - proj00).max() < ATOL
-
-
-def test_conjugate_first_qubit_flip():
-    proj00 = np.zeros((4, 4), dtype=complex)
-    proj00[0, 0] = 1.0
-    proj10 = np.zeros((4, 4), dtype=complex)
-    proj10[2, 2] = 1.0
-    assert np.abs(conjugate(pauli_pair(2, 0), proj00) - proj10).max() < ATOL
-
-
-def test_conjugate_preserves_trace_and_hermiticity():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        rho = random_density_matrix(rng)
-        i, j = rng.integers(0, 4, size=2)
-        out = conjugate(pauli_pair(i, j), rho)
-        assert abs(out.trace() - rho.trace()) < ATOL
-        assert np.abs(out - out.conj().T).max() < ATOL
-
-
-def test_conjugate_rejects_non_unitary():
-    rng = np.random.default_rng(15)
-    rho = random_density_matrix(rng)
-    with pytest.raises(ValueError, match="unitary"):
-        conjugate(np.diag([1.0, 1.0, 1.0, 0.5]), rho)
+            assert np.array_equal(pauli_pair(i, j), np.kron(pauli_matrix(i), pauli_matrix(j)))

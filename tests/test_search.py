@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import paulimem
-from paulimem.channel import ChannelSpec, _kraus_stack, preset_depolarizing, preset_symmetric
+from paulimem.channel import (
+    ChannelSpec,
+    _kraus_stack,
+    apply,
+    preset_depolarizing,
+    preset_symmetric,
+)
 from paulimem.search import (
     _entropy_objective,
     _nelder_mead,
@@ -22,12 +28,13 @@ from paulimem.search import (
     candidate_entropy_gap,
     crossing_mu,
     minimize_output_entropy,
-    mixed_state_dominance_check,
     output_entropy,
     parametrize_pure_state,
     schmidt_coefficients,
 )
+from paulimem.spectral import von_neumann_entropy_bits
 from paulimem.symmetric import SymmetricParams, optimal_input
+from util import random_density_matrix
 
 S_MIN_030_050 = 1.536721674438358
 S_MIN_045_020 = 0.916501945827340
@@ -133,6 +140,23 @@ def test_minimize_agrees_with_closed_form_on_grid():
             found = minimize_output_entropy(preset_symmetric(p, mu), cfg).entropy_bits
             worst = max(worst, abs(found - analytic))
     assert worst <= 1e-6
+
+
+def mixed_state_dominance_check(spec: ChannelSpec, trials: int, seed: int) -> bool:
+    """Whether no sampled mixed input beats the best of its own eigenvectors.
+
+    Concavity of the entropy guarantees
+    ``S(E(rho)) >= min_v S(E(|v><v|)) - 1e-9`` over the eigenvectors ``v``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        rho = random_density_matrix(rng)
+        mixed_entropy = von_neumann_entropy_bits(apply(spec, rho))
+        _, vecs = np.linalg.eigh(rho)
+        best_pure = min(output_entropy(spec, vecs[:, k]) for k in range(4))
+        if mixed_entropy < best_pure - 1e-9:
+            return False
+    return True
 
 
 def test_mixed_states_never_beat_their_eigenvectors():

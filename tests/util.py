@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from paulimem.channel import ChannelSpec
-
-
-def random_pure_state(rng) -> np.ndarray:
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return v / np.linalg.norm(v)
+from paulimem.checks import random_pure_state, random_spec  # noqa: F401
 
 
 def random_density_matrix(rng) -> np.ndarray:
@@ -19,9 +14,3 @@ def random_density_matrix(rng) -> np.ndarray:
 def random_hermitian(rng) -> np.ndarray:
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return 0.5 * (g + g.conj().T)
-
-
-def random_spec(rng) -> ChannelSpec:
-    q = rng.dirichlet(np.ones(4))
-    q = q / q.sum()
-    return ChannelSpec(tuple(q), float(rng.uniform()))
