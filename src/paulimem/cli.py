@@ -1,7 +1,7 @@
 """Command-line interface: capacity queries, sweeps, threshold, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 argument error,
-3 unconverged numeric search.
+Exit codes: 0 success, 1 verification failure, 2 argument error or
+output that cannot be written, 3 unconverged numeric search.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -31,44 +30,13 @@ from .symmetric import capacity_symmetric, threshold
 #: Custom weights are renormalized only below this deviation from 1.
 Q_RENORM_TOL = 1e-9
 
-CSV_COLUMNS = ("family", "param", "mu", "s_min_bits", "capacity_bits", "regime", "method")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep: channel parameters and capacity."""
-
-    family: str
-    param: float | None
-    mu: float
-    s_min_bits: float
-    capacity_bits: float
-    regime: str
-    method: str
-
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _fmt_param(param: float | None) -> str:
-    return "nan" if param is None else _fmt(param)
-
-
 def _fmt_amplitudes(state: np.ndarray) -> str:
     return ", ".join(f"{z.real:.9g}{z.imag:+.9g}j" for z in state)
-
-
-@contextmanager
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        handle = open(path, "w", encoding="utf-8", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
 
 
 def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
@@ -105,12 +73,12 @@ def _usage_errors(parser):
 
 
 def _resolve_family(args, parser):
-    """Return (family label, param, spec builder over (param, mu))."""
+    """Return (family label, param, spec builder over (param, mu)); param is nan for --q."""
     if args.q is not None:
         if args.family not in (None, "custom"):
             parser.error("--q is only valid with --family custom")
         q = _parse_q(args.q, parser)
-        return "Custom", None, lambda _, mu: ch.ChannelSpec(q, mu)
+        return "Custom", math.nan, lambda _, mu: ch.ChannelSpec(q, mu)
     if args.family in (None, "custom"):
         parser.error(
             "a channel is required: --family symmetric|depolarizing --param P, "
@@ -136,16 +104,19 @@ def _search_config(args, seed: int) -> SearchConfig:
     )
 
 
-def _method_label(method: MOEMethod) -> str:
-    return "Analytic" if method is MOEMethod.ANALYTIC_CLOSED_FORM else "Numeric"
-
-
-def _capacity_key(args) -> str:
-    return "capacity_bits_per_qubit" if args.per_qubit else "capacity_bits"
-
-
-def _capacity_value(chi_bits: float, args) -> float:
-    return chi_bits / 2.0 if args.per_qubit else chi_bits
+def _capacity_pairs(result, args) -> list[tuple[str, object]]:
+    """The s_min, capacity, regime and method pairs of one capacity result."""
+    if args.per_qubit:
+        capacity = ("capacity_bits_per_qubit", result.chi_bits / 2.0)
+    else:
+        capacity = ("capacity_bits", result.chi_bits)
+    analytic = result.method is MOEMethod.ANALYTIC_CLOSED_FORM
+    return [
+        ("s_min_bits", result.s_min_bits),
+        capacity,
+        ("regime", result.regime.value),
+        ("method", "Analytic" if analytic else "Numeric"),
+    ]
 
 
 def _finite_or_null(value):
@@ -159,62 +130,53 @@ def _finite_or_null(value):
     return value
 
 
-def _write_json(payload, stream) -> None:
-    stream.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False))
-    stream.write("\n")
+def _json(payload) -> str:
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _emit_records(records, args, stream) -> None:
+def _text(value) -> str:
+    """One value as report or CSV text."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return ", ".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def _format_report(pairs, args) -> str:
+    """One record as ``key: value`` lines, or as a JSON object."""
     if args.json:
-        payload = []
-        for rec in records:
-            payload.append(
-                {
-                    "family": rec.family,
-                    "param": rec.param,
-                    "mu": rec.mu,
-                    "s_min_bits": rec.s_min_bits,
-                    _capacity_key(args): _capacity_value(rec.capacity_bits, args),
-                    "regime": rec.regime,
-                    "method": rec.method,
-                }
-            )
-        _write_json(payload, stream)
-        return
-    header = list(CSV_COLUMNS)
-    header[4] = _capacity_key(args)
-    stream.write(",".join(header) + "\n")
-    for rec in records:
-        stream.write(
-            ",".join(
-                (
-                    rec.family,
-                    _fmt_param(rec.param),
-                    _fmt(rec.mu),
-                    _fmt(rec.s_min_bits),
-                    _fmt(_capacity_value(rec.capacity_bits, args)),
-                    rec.regime,
-                    rec.method,
-                )
-            )
-            + "\n"
-        )
+        return _json(dict(pairs))
+    return "".join(f"{key}: {_text(value)}\n" for key, value in pairs)
 
 
-def _emit_report(pairs, args, stream) -> None:
+def _format_table(rows, args) -> str:
+    """Records as CSV under a header of the first row's keys, or as a JSON array."""
     if args.json:
-        _write_json(dict(pairs), stream)
-        return
-    for key, value in pairs:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = _fmt(value)
-        elif isinstance(value, list):
-            text = ", ".join(_fmt(v) for v in value)
+        return _json([dict(row) for row in rows])
+    lines = [[key for key, _ in rows[0]]] + [[_text(value) for _, value in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _write(text: str, args, parser) -> None:
+    """Write ``text`` to ``--out`` or standard output; a failed write exits 2."""
+    to_file = args.out not in (None, "-")
+    try:
+        if to_file:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
         else:
-            text = str(value)
-        stream.write(f"{key}: {text}\n")
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not to_file:
+            # Closing drops the unwritten text, which the exit-time flush would retry.
+            with suppress(OSError):
+                sys.stdout.close()
+        where = args.out if to_file else "standard output"
+        parser.error(f"cannot write {where}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +190,21 @@ def _single_point(args, parser):
     with _usage_errors(parser):
         spec = build(param, mu)
         cfg = _search_config(args, args.seed)
-    pairs = [("family", family)] + ([] if param is None else [("param", param)])
+    pairs = [("family", family)] + ([] if math.isnan(param) else [("param", param)])
     return family, pairs + [("mu", spec.mu)], spec, cfg
 
 
-def _report_point(pairs, state, converged: bool, args) -> int:
+def _report_point(pairs, state, converged: bool, args, parser) -> int:
     """Write a single-point report; an unconverged one goes to stderr with exit 3."""
     if args.json:
         pairs.append(("state", [[z.real, z.imag] for z in state]))
     else:
         pairs.append(("state_amplitudes", _fmt_amplitudes(state)))
+    text = _format_report(pairs, args)
     if not converged:
-        _emit_report(pairs, args, sys.stderr)
+        sys.stderr.write(text)
         return 3
-    with _out_stream(args.out) as stream:
-        _emit_report(pairs, args, stream)
+    _write(text, args, parser)
     return 0
 
 
@@ -250,23 +212,17 @@ def _run_capacity(args, parser) -> int:
     family, pairs, spec, cfg = _single_point(args, parser)
     force_numeric = family == "Custom" or args.numeric
     result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
-    pairs += [
-        ("s_min_bits", result.s_min_bits),
-        (_capacity_key(args), _capacity_value(result.chi_bits, args)),
-        ("regime", result.regime.value),
-        ("method", _method_label(result.method)),
-        ("converged", result.converged),
-    ]
-    return _report_point(pairs, result.state, result.converged, args)
+    pairs += _capacity_pairs(result, args) + [("converged", result.converged)]
+    return _report_point(pairs, result.state, result.converged, args, parser)
 
 
-def _run_sweep(args, parser, sweep_param: bool) -> int:
+def _run_sweep(args, parser) -> int:
     if args.steps < 2:
         parser.error(f"--steps must be at least 2, got {args.steps}")
     if args.threads < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 
-    if sweep_param:
+    if args.sweep_param:
         if args.family not in _FAMILIES:
             parser.error("sweep-p requires --family symmetric or depolarizing")
         if args.param is not None or args.q is not None:
@@ -286,41 +242,25 @@ def _run_sweep(args, parser, sweep_param: bool) -> int:
     with _usage_errors(parser), np.errstate(invalid="ignore"):
         jobs = []
         for index, v in enumerate(np.linspace(lo, hi, args.steps)):
-            point_param, point_mu = (float(v), mu) if sweep_param else (param, float(v))
+            point_param, point_mu = (float(v), mu) if args.sweep_param else (param, float(v))
             cfg = _search_config(args, checks.point_seed(args.seed, index))
             jobs.append((point_param, build(point_param, point_mu), cfg))
     force_numeric = family == "Custom" or args.numeric
 
-    records, converged = [], True
+    rows, converged = [], True
     for point_param, spec, cfg in jobs:
         result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
-        records.append(
-            SweepRecord(
-                family=family,
-                param=point_param,
-                mu=spec.mu,
-                s_min_bits=result.s_min_bits,
-                capacity_bits=result.chi_bits,
-                regime=result.regime.value,
-                method=_method_label(result.method),
-            )
+        rows.append(
+            [("family", family), ("param", point_param), ("mu", spec.mu)]
+            + _capacity_pairs(result, args)
         )
         converged = converged and result.converged
 
-    with _out_stream(args.out) as stream:
-        _emit_records(records, args, stream)
+    _write(_format_table(rows, args), args, parser)
     if not converged:
         print("warning: numeric search did not converge at every grid point", file=sys.stderr)
         return 3
     return 0
-
-
-def _run_sweep_mu(args, parser) -> int:
-    return _run_sweep(args, parser, sweep_param=False)
-
-
-def _run_sweep_p(args, parser) -> int:
-    return _run_sweep(args, parser, sweep_param=True)
 
 
 def _capacity_slope(p: float, at_mu: float, step: float = 1e-5) -> float:
@@ -355,8 +295,7 @@ def _threshold_report(p: float, mu_t: float) -> list[tuple[str, object]]:
 def _run_threshold(args, parser) -> int:
     with _usage_errors(parser):
         mu_t = threshold(args.p)
-    with _out_stream(args.out) as stream:
-        _emit_report(_threshold_report(args.p, mu_t), args, stream)
+    _write(_format_report(_threshold_report(args.p, mu_t), args), args, parser)
     return 0
 
 
@@ -370,7 +309,7 @@ def _run_moe(args, parser) -> int:
         ("restarts_used", result.restarts_used),
         ("schmidt_coefficients", [float(c) for c in schmidt_coefficients(result.state)]),
     ]
-    return _report_point(pairs, result.state, result.converged, args)
+    return _report_point(pairs, result.state, result.converged, args, parser)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +319,17 @@ def _run_moe(args, parser) -> int:
 def _run_verify(args, parser) -> int:
     sizes = checks.DENSITIES[args.grid_density]
     with _usage_errors(parser):
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(SearchConfig(seed=args.seed).seed)
+    lines = [f"verify: grid-density={args.grid_density} seed={args.seed}"]
     passed = 0
-    with _out_stream(args.out) as stream:
-        stream.write(f"verify: grid-density={args.grid_density} seed={args.seed}\n")
-        for name, check, tol in checks.CHECKS:
-            residual = check(rng, sizes, args.seed)
-            ok = residual <= tol
-            passed += ok
-            status = "PASS" if ok else "FAIL"
-            stream.write(f"[{status}] {name}: residual={residual:.6e} (tol {tol:g})\n")
-        stream.write(f"verify: {passed}/{len(checks.CHECKS)} checks passed\n")
+    for name, check, tol in checks.CHECKS:
+        residual = check(rng, sizes, args.seed)
+        ok = residual <= tol
+        passed += ok
+        status = "PASS" if ok else "FAIL"
+        lines.append(f"[{status}] {name}: residual={residual:.6e} (tol {tol:g})")
+    lines.append(f"verify: {passed}/{len(checks.CHECKS)} checks passed")
+    _write("".join(f"{line}\n" for line in lines), args, parser)
     return 0 if passed == len(checks.CHECKS) else 1
 
 
@@ -437,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_options(sp)
     sp.add_argument("--per-qubit", action="store_true", help="report capacity per channel use")
     sp.add_argument("--numeric", action="store_true", help="force the global search path")
-    sp.set_defaults(handler=_run_capacity)
+    sp.set_defaults(handler=_run_capacity, parser=sp)
 
     sp = sub.add_parser("sweep-mu", help="capacity over a memory grid")
     _add_channel_options(sp, with_mu=False)
@@ -447,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=101, help="grid points incl. endpoints")
     sp.add_argument("--per-qubit", action="store_true")
     sp.add_argument("--numeric", action="store_true")
-    sp.set_defaults(handler=_run_sweep_mu)
+    sp.set_defaults(handler=_run_sweep, sweep_param=False, parser=sp)
 
     sp = sub.add_parser("sweep-p", help="capacity over a family-weight grid")
     _add_channel_options(sp)
@@ -457,18 +396,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=51)
     sp.add_argument("--per-qubit", action="store_true")
     sp.add_argument("--numeric", action="store_true")
-    sp.set_defaults(handler=_run_sweep_p)
+    sp.set_defaults(handler=_run_sweep, sweep_param=True, parser=sp)
 
     sp = sub.add_parser("threshold", help="memory threshold of the symmetric family")
     sp.add_argument("--p", type=float, required=True, help="symmetric weight in [0, 1/2]")
     sp.add_argument("--out")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=_run_threshold)
+    sp.set_defaults(handler=_run_threshold, parser=sp)
 
     sp = sub.add_parser("moe", help="global minimal-output-entropy search")
     _add_channel_options(sp)
     _add_common_options(sp)
-    sp.set_defaults(handler=_run_moe)
+    sp.set_defaults(handler=_run_moe, parser=sp)
 
     sp = sub.add_parser("verify", help="cross-module invariant suite")
     sp.add_argument(
@@ -478,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--out")
-    sp.set_defaults(handler=_run_verify)
+    sp.set_defaults(handler=_run_verify, parser=sp)
 
     return parser
 
@@ -499,10 +438,10 @@ def _require_writable_out(path: str | None, parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _require_writable_out(args.out, parser)
-    return args.handler(args, parser)
+    args = _build_parser().parse_args(argv)
+    # Each command reports its errors with its own usage line.
+    _require_writable_out(args.out, args.parser)
+    return args.handler(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,12 +36,13 @@ def run_captured(args):
 
 
 def assert_usage_error(args):
-    """Exit 2, empty stdout and exactly one ``paulimem ...: error:`` line on stderr."""
+    """Exit 2, empty stdout and exactly one ``paulimem ...: error:`` line, which is returned."""
     code, out, err = run_captured(args)
     assert code == 2, (args, code, err)
     assert out == ""
     errors = [line for line in err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and errors[0].startswith("paulimem"), (args, err)
+    return errors[0]
 
 
 # Full stdout of the closed-form commands; these bytes must not change.
@@ -293,6 +298,7 @@ UNREACHABLE_CHECKS = tuple((name, _unreachable, tol) for name, _, tol in checks.
 def test_argument_errors_exit_2(tmp_path):
     point = ["--family", "symmetric", "--param", "0.3", "--mu", "0.5"]
     missing = str(tmp_path / "missing" / "out.txt")
+    errors = {}
     for args in [
         ["capacity", "--family", "symmetric", "--param", "0.7", "--mu", "0.5"],
         ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "1.5"],
@@ -330,12 +336,54 @@ def test_argument_errors_exit_2(tmp_path):
         ["threshold", "--p", "0.3", "--out", ""],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--out", ""],
         ["verify", "--grid-density", "low", "--out", ""],
+        ["verify", "--seed", "-1"],
     ]:
         with mock.patch.multiple(cli, **COMPUTATIONS), mock.patch.object(
             checks, "CHECKS", UNREACHABLE_CHECKS
         ):
-            assert_usage_error(args)
+            errors[" ".join(args)] = assert_usage_error(args)
     assert list(tmp_path.iterdir()) == []
+    # Each command names itself in its errors, and the library's check words the seed's.
+    assert errors["capacity --family symmetric --param 0.3 --mu 1.5"] == (
+        "paulimem capacity: error: mu must lie in [0, 1], got 1.5"
+    )
+    assert errors["verify --seed -1"] == (
+        "paulimem verify: error: seed must be a nonnegative integer, got -1"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["threshold", "--p", "0.3"],
+        ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "2"],
+    ],
+)
+def test_failed_write_exits_2(args):
+    error = assert_usage_error(args + ["--out", "/dev/full"])
+    assert error.endswith("error: cannot write /dev/full: No space left on device")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the command's first write to stdout fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paulimem.cli", "threshold", "--p", "0.3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "paulimem threshold: error: cannot write standard output: Broken pipe"
+    )
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def outside(lo, hi):
@@ -499,6 +547,13 @@ def test_sweep_json_round_trip(tmp_path):
             "family", "param", "mu", "s_min_bits", "capacity_bits", "regime", "method"
         }
         assert abs(rec["capacity_bits"] - (2.0 - rec["s_min_bits"])) < 1e-9
+    # A sweep row holds the same values as the point report of its channel.
+    code, text, _ = run_captured(
+        ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "0", "--json"]
+    )
+    point = json.loads(text)
+    assert code == 0 and point["state"]
+    assert {key: point[key] for key in payload[0]} == payload[0]
 
 
 def test_custom_sweep_has_nan_param(tmp_path):
@@ -513,6 +568,12 @@ def test_custom_sweep_has_nan_param(tmp_path):
         assert fields[0] == "Custom"
         assert fields[1] == "nan"
         assert fields[6] == "Numeric"
+    # JSON has no nan: the custom channel's param is null.
+    code, text, _ = run_captured(
+        ["sweep-mu", "--q", "0.4,0.3,0.2,0.1", "--steps", "2", "--restarts", "6", "--json"]
+    )
+    assert code == 0 and text.count('"param": null') == 2
+    assert [rec["param"] for rec in json.loads(text)] == [None, None]
 
 
 def test_threshold_report(tmp_path):
@@ -588,6 +649,18 @@ def test_unconfirmed_search_exits_3(capsys, tmp_path):
          "--restarts", "1"]
     )
     assert code == 3
+
+    # An unconverged sweep still writes every row, then warns.
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run_captured(
+        ["sweep-mu", "--family", "depolarizing", "--param", "0.7", "--steps", "2",
+         "--restarts", "1", "--out", str(out)]
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr == "warning: numeric search did not converge at every grid point\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "family,param,mu,s_min_bits,capacity_bits,regime,method"
+    assert [line.split(",")[2] for line in lines[1:]] == ["0", "1"]
 
 
 VERIFY_LOW = ["verify", "--grid-density", "low", "--seed", "5"]
