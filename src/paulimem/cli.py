@@ -7,6 +7,7 @@ output that cannot be written, 3 unconverged numeric search.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -167,11 +168,13 @@ def _write(text: str, args, parser) -> None:
         if to_file:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
+        elif sys.stdout is None:  # descriptor 1 was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not to_file:
+        if not to_file and sys.stdout is not None:
             # Closing drops the unwritten text, which the exit-time flush would retry.
             with suppress(OSError):
                 sys.stdout.close()

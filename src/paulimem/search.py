@@ -8,10 +8,10 @@ as an independent check of the closed forms; for general weights it is
 the only route.
 
 The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
-restart simplices in lock-step: each step gathers the trial points of
-every simplex still running and scores them with one batched call
-(states, channel outputs and one stacked ``eigvalsh``), and a simplex
-leaves the batch when it meets its stop test.  Each restart ends
+restart simplices in lock-step: each step scores the trial points of
+every running simplex in one call (states, one stacked product with the
+channel's 16x16 matrix, built once per search, so that no point's value
+depends on its batch, and one stacked ``eigvalsh``).  Each restart ends
 exactly where it would end alone.  The first eight restarts start on
 the computational basis and Bell states; the rest start at points drawn
 uniformly from the angle box by ``np.random.default_rng(seed)``.
@@ -73,7 +73,7 @@ class MOEResult:
     method: MOEMethod
     converged: bool
     restarts_used: int
-    #: Objective points scored, over the restarts and the polish.
+    #: Objective points scipy's rule consumes, over the restarts and the polish.
     evaluations: int
     #: Lock-step steps of the restart batch plus those of the polish.
     iterations: int
@@ -106,14 +106,15 @@ def parametrize_pure_state(angles) -> np.ndarray:
 
 def _pure_states(angles: np.ndarray) -> np.ndarray:
     """(B, 6) angles to (B, 4) amplitudes, row by row as documented above."""
-    c, s = np.cos(angles[:, :3]), np.sin(angles[:, :3])
+    e = np.exp(1j * angles)  # cos + i sin of every angle in one call
+    c, s = e.real, e.imag
     s12 = s[:, 0] * s[:, 1]
     states = np.empty((len(angles), 4), dtype=complex)
     states[:, 0] = c[:, 0]
     states[:, 1] = s[:, 0] * c[:, 1]
     states[:, 2] = s12 * c[:, 2]
     states[:, 3] = s12 * s[:, 2]
-    states[:, 1:] *= np.exp(1j * angles[:, 3:])
+    states[:, 1:] *= e[:, 3:]
     return states
 
 
@@ -134,16 +135,22 @@ def output_entropy(spec: ChannelSpec, state) -> float:
 
 
 def _entropy_objective(stack: np.ndarray):
-    """Map (B, 6) angles to the (B,) output entropies of their pure states."""
-    rows = stack.reshape(64, 4)
+    """Map (B, 6) angles to the (B,) output entropies of their pure states.
+
+    The channel is built once as a 16x16 matrix on flattened inputs,
+    ``sup[(b, c), (a, d)] = sum_k K_k[a, b] conj(K_k[d, c])``.  Each point
+    gets its own ``(1, 16) @ (16, 16)`` of a stacked product, so that its
+    value does not depend on its batch, as it may through a 2-D product.
+    """
+    sup = np.einsum("kab,kdc->bcad", stack, stack.conj()).reshape(16, 16)
 
     def objective(angles: np.ndarray) -> np.ndarray:
-        # Row k*4+a of rows @ v is (K_k v)_a, so the output is sum_k w_k w_k+.
-        w = (rows @ _pure_states(angles)[:, :, None]).reshape(-1, 16, 4)
-        spectra = np.linalg.eigvalsh(w.transpose(0, 2, 1) @ w.conj())
-        kept = spectra > 1e-300
-        terms = spectra * np.log2(np.where(kept, spectra, 1.0))
-        return -np.where(kept, terms, 0.0).sum(axis=1)
+        v = _pure_states(angles)
+        rho = (v[:, :, None] * v[:, None, :].conj()).reshape(-1, 1, 16)
+        spectra = np.linalg.eigvalsh((rho @ sup).reshape(-1, 4, 4))
+        # 0 log 0 = 0: a zero or dust eigenvalue meets log2(1) = 0.
+        logs = np.log2(np.where(spectra > 1e-300, spectra, 1.0))
+        return -(spectra * logs).sum(axis=1)
 
     return objective
 
@@ -159,11 +166,9 @@ _NONZDELT, _ZDELT = 0.05, 0.00025
 
 def _by_value(sim: np.ndarray, fsim: np.ndarray):
     """Order each simplex's vertices by value, as scipy does."""
+    rows = np.arange(len(fsim))[:, None]
     order = np.argsort(fsim, axis=1)
-    return (
-        np.take_along_axis(sim, order[:, :, None], axis=1),
-        np.take_along_axis(fsim, order, axis=1),
-    )
+    return sim[rows, order], fsim[rows, order]
 
 
 def _nelder_mead(objective, starts: np.ndarray, max_iterations: int, tight: bool):
@@ -188,13 +193,19 @@ def _nelder_mead(objective, starts: np.ndarray, max_iterations: int, tight: bool
     # scipy sorts the initial simplex twice, which can reorder ties.
     sim, fsim = _by_value(*_by_value(sim, fsim))
 
+    # Trial coefficient by the number of vertices worse than the reflection:
+    # all n + 1 expand, one contracts outside, none inside, others keep it.
+    trial = np.zeros(n + 2)
+    trial[[n + 1, 1, 0]] = _EXPAND, _OUTSIDE, _INSIDE
+
     best_x = np.empty_like(starts)
     best_f = np.empty(count)
     ids = np.arange(count)
     steps = 0
     for _ in range(max_iterations - 1):
+        # Each fsim row is sorted, so its largest spread is last minus first.
         done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+            fsim[:, -1] - fsim[:, 0] <= fatol
         )
         if done.any():
             best_x[ids[done]], best_f[ids[done]] = sim[done, 0], fsim[done, 0]
@@ -208,32 +219,28 @@ def _nelder_mead(objective, starts: np.ndarray, max_iterations: int, tight: bool
         new_f = objective(new_x)
         evaluations += len(new_x)
 
-        # A reflection better than the best vertex is tried further out;
-        # one no better than the second worst is contracted.
-        expand = new_f < fsim[:, 0]
-        contract = ~expand & ~(new_f < fsim[:, -2])
-        outside = contract & (new_f < f_worst)
-        rows = np.flatnonzero(expand | contract)
+        coef = trial[(new_f[:, None] < fsim).sum(axis=1)]
+        rows = coef.nonzero()[0]
         if len(rows):
-            coef = np.where(expand, _EXPAND, np.where(outside, _OUTSIDE, _INSIDE))[rows, None]
-            xt = (1 + coef) * xbar[rows] - coef * worst[rows]
+            c = coef[rows]
+            xt = (1 + c[:, None]) * xbar[rows] - c[:, None] * worst[rows]
             ft = objective(xt)
             evaluations += len(rows)
-            better = np.where(
-                expand[rows],
-                ft < new_f[rows],
-                np.where(outside[rows], ft <= new_f[rows], ft < f_worst[rows]),
-            )
+            # scipy keeps an expansion that beats the reflection, an outside
+            # contraction no worse than it and an inside one that beats the
+            # worst vertex; a contraction it does not keep becomes a shrink.
+            bar = np.where(c == _INSIDE, f_worst[rows], new_f[rows])
+            better = np.where(c == _OUTSIDE, ft <= bar, ft < bar)
             new_x[rows[better]], new_f[rows[better]] = xt[better], ft[better]
-            contract[rows[better]] = False
-        # A contraction that failed shrinks the simplex instead.
-        keep = ~contract
-        sim[keep, -1], fsim[keep, -1] = new_x[keep], new_f[keep]
-        if contract.any():
-            moved = sim[contract, :1] + _SHRINK * (sim[contract, 1:] - sim[contract, :1])
-            sim[contract, 1:] = moved
-            fsim[contract, 1:] = objective(moved.reshape(-1, n)).reshape(-1, n)
-            evaluations += moved.shape[0] * n
+            shrink = rows[~better & (c != _EXPAND)]
+            if len(shrink):
+                # Every vertex but the best moves halfway toward it.
+                moved = sim[shrink, :1] + _SHRINK * (sim[shrink, 1:] - sim[shrink, :1])
+                sim[shrink, 1:] = moved
+                fsim[shrink, 1:] = objective(moved.reshape(-1, n)).reshape(-1, n)
+                evaluations += moved.shape[0] * n
+                new_x[shrink], new_f[shrink] = moved[:, -1], fsim[shrink, -1]
+        sim[:, -1], fsim[:, -1] = new_x, new_f
         sim, fsim = _by_value(sim, fsim)
 
     best_x[ids], best_f[ids] = sim[:, 0], fsim[:, 0]

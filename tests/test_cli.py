@@ -204,6 +204,29 @@ def test_closed_form_stdout_is_pinned(command):
         json.loads(GOLDEN_STDOUT[command], parse_constant=_reject_constant)
 
 
+# The numbers a default search reports for two custom channels.  The
+# state may move within the optimal set, so its amplitudes are not pinned.
+SEARCH_LINES = {
+    "capacity --q 0.4,0.3,0.2,0.1 --mu 0.6": (
+        "s_min_bits: 1.29504207", "capacity_bits: 0.704957926",
+        "regime: Entangled", "converged: true",
+    ),
+    "capacity --q 0.1,0.2,0.3,0.4 --mu 0.2": (
+        "s_min_bits: 1.73469535", "capacity_bits: 0.265304649",
+        "regime: Product", "converged: true",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEARCH_LINES))
+def test_search_report_is_pinned(command):
+    code, out, err = run_captured(command.split())
+    assert (code, err) == (0, "")
+    keys = ("s_min_bits", "capacity_bits", "regime", "converged")
+    lines = tuple(line for line in out.splitlines() if line.split(":")[0] in keys)
+    assert lines == SEARCH_LINES[command]
+
+
 def test_capacity_symmetric_analytic(tmp_path, capsys):
     out = tmp_path / "cap.txt"
     args = ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "0.5"]
@@ -384,6 +407,24 @@ def test_closed_stdout_exits_2_without_traceback():
         "paulimem threshold: error: cannot write standard output: Broken pipe"
     )
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_closed_descriptor_exits_2_without_traceback():
+    # With descriptor 1 closed at start, Python sets sys.stdout to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "paulimem.cli", "threshold", "--p", "0.3"],
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "paulimem threshold: error: cannot write standard output: Bad file descriptor"
+    )
+    assert "Traceback" not in proc.stderr
 
 
 def outside(lo, hi):

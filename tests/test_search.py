@@ -226,6 +226,22 @@ def test_batched_states_match_parametrize_bitwise():
         assert np.array_equal(row, parametrize_pure_state(a))
 
 
+def test_objective_matches_apply_and_ignores_its_batch():
+    # The objective folds the channel into one 16x16 matrix; apply and
+    # von_neumann_entropy_bits share none of that code.
+    angles = np.random.default_rng(64).uniform(-4, 8, size=(40, 6))
+    for spec in CANDIDATE_CHANNELS.values():
+        objective = _entropy_objective(_kraus_stack(spec))
+        values = objective(angles)
+        reference = [output_entropy(spec, parametrize_pure_state(a)) for a in angles]
+        assert np.abs(values - reference).max() <= 1e-13
+        # A row scores the same bits alone and in batches on both sides of 16.
+        for size in (1, 2, 15, 16, 17, 40):
+            for start in range(0, len(angles), size):
+                part = objective(angles[start : start + size])
+                assert np.array_equal(part, values[start : start + size]), size
+
+
 def test_each_restart_descends_alone_as_in_the_batch():
     spec = ChannelSpec((0.45, 0.25, 0.2, 0.1), 0.35)
     objective = _entropy_objective(_kraus_stack(spec))
