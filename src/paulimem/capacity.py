@@ -13,26 +13,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, apply, is_symmetric_class
+from .channel import ChannelSpec, apply, is_symmetric_class, joint_distribution
 from .pauli import _PAIRS
 from .search import (
+    _BELL_CANDIDATE,
+    _PRODUCT_CANDIDATE,
     MOEMethod,
     SearchConfig,
     _require_unit_norm,
     minimize_output_entropy,
-    schmidt_coefficients,
 )
-from .spectral import von_neumann_entropy_bits
-from .symmetric import Regime, SymmetricParams, ansatz_state_vector, optimal_input
+from .spectral import shannon_entropy_bits, von_neumann_entropy_bits
+from .symmetric import BOUNDARY_TOL, Regime, SymmetricParams, ansatz_state_vector, optimal_input
 
 #: Ensemble priors must sum to one within this tolerance.
 PRIOR_SUM_TOL = 1e-12
 
-#: Weight-equality tolerance for routing to the closed-form path.
-SYMMETRY_TOL = 1e-12
+_PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
 
-#: Schmidt-coefficient tolerance for classifying a numeric minimizer.
-REGIME_TOL = 1e-5
+
+def _axis_labels(k: int) -> np.ndarray:
+    """Output label of each Pauli pair on the product eigenstate of ``s_k (x) s_k``.
+
+    ``s_0`` and ``s_k`` keep an eigenstate of ``s_k``; the other two flip
+    it to the orthogonal one.
+    """
+    flip_i = (_PAIR_I != 0) & (_PAIR_I != k)
+    flip_j = (_PAIR_J != 0) & (_PAIR_J != k)
+    return 2 * flip_i + flip_j
+
+
+#: Candidate minimal-output-entropy inputs with, for each Pauli pair, the
+#: label of the orthonormal state it sends the candidate to: the product
+#: eigenstates of ``s_1``, ``s_2`` and ``s_3`` on both qubits (|00>, |++>,
+#: |+i +i>), and the Bell state, which ``s_i (x) s_j`` sends to the Bell
+#: state ``i XOR j``.
+_CANDIDATES = (
+    (_PRODUCT_CANDIDATE, _axis_labels(1)),
+    (np.full(4, 0.5, dtype=complex), _axis_labels(2)),
+    (np.array([0.5, 0.5j, 0.5j, -0.5], dtype=complex), _axis_labels(3)),
+    (_BELL_CANDIDATE, _PAIR_I ^ _PAIR_J),
+)
+_BELL = len(_CANDIDATES) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +125,30 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     return avg_entropy - member_entropies
 
 
-def classify_regime(state, tol: float = REGIME_TOL) -> Regime:
-    """Product / Entangled / Unknown from the Schmidt coefficients."""
-    coeffs = schmidt_coefficients(state)
-    if coeffs[1] <= tol:
-        return Regime.PRODUCT
-    if abs(coeffs[0] - coeffs[1]) <= tol:
-        return Regime.ENTANGLED
-    return Regime.UNKNOWN
+def _candidate_optimum(spec: ChannelSpec) -> tuple[np.ndarray, float, Regime]:
+    """Best of the four candidate inputs: its state, ``s_min`` and the regime.
+
+    A candidate's output is diagonal in the states the 16 Pauli pairs send
+    it to, so its spectrum is the joint weights summed by label.  ``s_min``
+    is the smallest of the four entropies.  An axis that beats the Bell
+    state is Product, a Bell state that beats every axis is Entangled, and
+    a tie within BOUNDARY_TOL is Boundary, with the Bell state reported
+    as the representative.
+    """
+    weights = joint_distribution(spec).ravel()
+    entropies = [
+        shannon_entropy_bits(np.bincount(labels, weights, minlength=4))
+        for _, labels in _CANDIDATES
+    ]
+    axis = min(range(_BELL), key=entropies.__getitem__)
+    margin = entropies[axis] - entropies[_BELL]
+    if abs(margin) <= BOUNDARY_TOL:
+        winner, regime = _BELL, Regime.BOUNDARY
+    elif margin > 0.0:
+        winner, regime = _BELL, Regime.ENTANGLED
+    else:
+        winner, regime = axis, Regime.PRODUCT
+    return _CANDIDATES[winner][0].copy(), min(entropies), regime
 
 
 def two_qubit_capacity(
@@ -120,26 +158,31 @@ def two_qubit_capacity(
 ) -> CapacityResult:
     """Two-qubit capacity with the ensemble that attains it.
 
-    Channels with ``q0 = q1`` and ``q2 = q3`` (within SYMMETRY_TOL) route
-    to the closed-form optimum unless ``force_numeric`` asks for the
-    global search; everything else is searched.  The saturation gap
-    ``|chi - (2 - s_min)|`` stays below 1e-8 for every Pauli memory
-    channel regardless of route.
+    Every channel takes a closed form.  Channels with ``q0 = q1`` and
+    ``q2 = q3`` take the symmetric family's optimal input; the match is
+    exact, because that formula reads only ``q0`` and ``mu`` and would be
+    off by about ``d log2(1/d)`` bits on a channel a distance ``d`` from
+    the family.  All other channels take the best of four candidate
+    inputs: the Z, X and Y product eigenstates and the Bell state.
+    ``force_numeric`` runs the global search with ``config`` in their
+    place, and the regime then still comes from the four candidates.
+    The saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for
+    every Pauli memory channel regardless of route.
     """
-    if not force_numeric and is_symmetric_class(spec, SYMMETRY_TOL):
+    method, converged = MOEMethod.ANALYTIC_CLOSED_FORM, True
+    if not force_numeric and is_symmetric_class(spec):
         report = optimal_input(SymmetricParams(spec.q[0], spec.mu))
         state = ansatz_state_vector(report.state)
         s_min = report.s_min_bits
         regime = report.regime
-        method = MOEMethod.ANALYTIC_CLOSED_FORM
-        converged = True
     else:
-        result = minimize_output_entropy(spec, config)
-        state = result.state
-        s_min = result.entropy_bits
-        regime = classify_regime(state)
-        method = result.method
-        converged = result.converged
+        state, s_min, regime = _candidate_optimum(spec)
+        if force_numeric:
+            result = minimize_output_entropy(spec, config)
+            state = result.state
+            s_min = result.entropy_bits
+            method = result.method
+            converged = result.converged
 
     ensemble = covariant_ensemble(state)
     chi = holevo_chi(spec, ensemble)

@@ -72,10 +72,10 @@ def preset_depolarizing(x: float, mu: float) -> ChannelSpec:
     return ChannelSpec((x, r, r, r), mu)
 
 
-def is_symmetric_class(spec: ChannelSpec, tol: float = 1e-12) -> bool:
-    """True when ``q0 = q1`` and ``q2 = q3`` within ``tol``."""
+def is_symmetric_class(spec: ChannelSpec) -> bool:
+    """True when ``q0 = q1`` and ``q2 = q3`` exactly."""
     q = spec.q
-    return abs(q[0] - q[1]) <= tol and abs(q[2] - q[3]) <= tol
+    return q[0] == q[1] and q[2] == q[3]
 
 
 def joint_distribution(spec: ChannelSpec) -> np.ndarray:
@@ -87,7 +87,9 @@ def joint_distribution(spec: ChannelSpec) -> np.ndarray:
     return (1.0 - spec.mu) * np.outer(q, q) + spec.mu * np.diag(q)
 
 
-@lru_cache(maxsize=1024)
+# A caller reuses a spec only within one point (the 17 applies of one
+# Holevo quantity), so a few entries keep every hit.
+@lru_cache(maxsize=16)
 def _kraus_stack(spec: ChannelSpec) -> np.ndarray:
     """Stacked (16, 4, 4) Kraus operators sqrt(p_ij) s_i (x) s_j, read-only."""
     weights = np.sqrt(joint_distribution(spec)).reshape(16)

@@ -187,14 +187,14 @@ def _write(text: str, args, parser) -> None:
 
 
 def _single_point(args, parser):
-    """Family label, leading report pairs, channel and search config of one point."""
+    """Leading report pairs, channel and search config of one point."""
     family, param, build = _resolve_family(args, parser)
     mu = _require_mu(args, parser)
     with _usage_errors(parser):
         spec = build(param, mu)
         cfg = _search_config(args, args.seed)
     pairs = [("family", family)] + ([] if math.isnan(param) else [("param", param)])
-    return family, pairs + [("mu", spec.mu)], spec, cfg
+    return pairs + [("mu", spec.mu)], spec, cfg
 
 
 def _report_point(pairs, state, converged: bool, args, parser) -> int:
@@ -212,9 +212,8 @@ def _report_point(pairs, state, converged: bool, args, parser) -> int:
 
 
 def _run_capacity(args, parser) -> int:
-    family, pairs, spec, cfg = _single_point(args, parser)
-    force_numeric = family == "Custom" or args.numeric
-    result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
+    pairs, spec, cfg = _single_point(args, parser)
+    result = two_qubit_capacity(spec, cfg, force_numeric=args.numeric)
     pairs += _capacity_pairs(result, args) + [("converged", result.converged)]
     return _report_point(pairs, result.state, result.converged, args, parser)
 
@@ -248,11 +247,10 @@ def _run_sweep(args, parser) -> int:
             point_param, point_mu = (float(v), mu) if args.sweep_param else (param, float(v))
             cfg = _search_config(args, checks.point_seed(args.seed, index))
             jobs.append((point_param, build(point_param, point_mu), cfg))
-    force_numeric = family == "Custom" or args.numeric
 
     rows, converged = [], True
     for point_param, spec, cfg in jobs:
-        result = two_qubit_capacity(spec, cfg, force_numeric=force_numeric)
+        result = two_qubit_capacity(spec, cfg, force_numeric=args.numeric)
         rows.append(
             [("family", family), ("param", point_param), ("mu", spec.mu)]
             + _capacity_pairs(result, args)
@@ -303,7 +301,7 @@ def _run_threshold(args, parser) -> int:
 
 
 def _run_moe(args, parser) -> int:
-    _, pairs, spec, cfg = _single_point(args, parser)
+    pairs, spec, cfg = _single_point(args, parser)
     result = minimize_output_entropy(spec, cfg)
     pairs += [
         ("entropy_bits", result.entropy_bits),
@@ -378,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_channel_options(sp)
     _add_common_options(sp)
     sp.add_argument("--per-qubit", action="store_true", help="report capacity per channel use")
-    sp.add_argument("--numeric", action="store_true", help="force the global search path")
+    sp.add_argument("--numeric", action="store_true", help="run the search, not the closed form")
     sp.set_defaults(handler=_run_capacity, parser=sp)
 
     sp = sub.add_parser("sweep-mu", help="capacity over a memory grid")

@@ -3,9 +3,10 @@
 This is the brute-force route to the capacity: by concavity of the von
 Neumann entropy the minimum over all inputs is attained on a pure state,
 so a multi-start derivative-free descent over a 6-angle parametrization
-of pure two-qubit states suffices.  For the symmetric family it serves
-as an independent check of the closed forms; for general weights it is
-the only route.
+of pure two-qubit states suffices.  It shares no code with the closed
+forms and serves as their certificate: ``force_numeric`` and
+``--numeric`` run it in their place, and ``verify`` checks on random
+channels that it never ends below the four-candidate minimum.
 
 The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
 restart simplices in lock-step: each step scores the trial points of

@@ -28,7 +28,6 @@ class Regime(enum.Enum):
     PRODUCT = "Product"
     ENTANGLED = "Entangled"
     BOUNDARY = "Boundary"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)

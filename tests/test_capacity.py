@@ -1,8 +1,15 @@
 """Covariant ensembles and the saturation of the capacity bound."""
 
+import math
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paulimem import checks
 from paulimem.capacity import (
     Ensemble,
     covariant_ensemble,
@@ -22,7 +29,7 @@ from paulimem.spectral import (
     von_neumann_entropy_bits,
 )
 from paulimem.symmetric import Regime
-from util import random_pure_state, random_spec
+from util import CANDIDATES, random_pure_state, random_spec
 
 S_MIN_045_020 = 0.916501945827340
 
@@ -160,11 +167,17 @@ def test_capacity_symmetric_product_regime():
 
 
 def test_capacity_depolarizing_numeric():
-    result = two_qubit_capacity(preset_depolarizing(0.7, 0.9), LEAN)
+    spec = preset_depolarizing(0.7, 0.9)
+    result = two_qubit_capacity(spec, LEAN, force_numeric=True)
     assert result.method is MOEMethod.GLOBAL_SEARCH
     assert result.saturation_gap <= 1e-8
     assert result.regime is Regime.ENTANGLED
     assert abs(result.chi_bits - (2.0 - result.s_min_bits)) < 1e-8
+    # Without force_numeric the four-candidate closed form answers.
+    exact = two_qubit_capacity(spec, LEAN)
+    assert exact.method is MOEMethod.ANALYTIC_CLOSED_FORM and exact.converged
+    assert exact.regime is Regime.ENTANGLED
+    assert abs(exact.chi_bits - result.chi_bits) < 1e-6
 
 
 def test_capacity_forced_numeric_matches_analytic():
@@ -192,3 +205,63 @@ def test_all_ensemble_outputs_share_one_entropy():
         ens = covariant_ensemble(random_pure_state(rng))
         entropies = [von_neumann_entropy_bits(apply(spec, rho)) for rho in ens.states]
         assert max(entropies) - min(entropies) < 1e-10
+
+
+
+@pytest.mark.parametrize(
+    "q, mu, kind, regime",
+    [
+        ((0.5, 0.3, 0.1, 0.1), 0.2, "Z", Regime.PRODUCT),
+        ((0.5, 0.1, 0.3, 0.1), 0.2, "X", Regime.PRODUCT),
+        ((0.5, 0.1, 0.1, 0.3), 0.2, "Y", Regime.PRODUCT),
+        ((0.4, 0.3, 0.2, 0.1), 0.8, "Bell", Regime.ENTANGLED),
+        # Every input passes the identity channel unchanged: a tie, reported as Bell.
+        ((1.0, 0.0, 0.0, 0.0), 0.4, "Bell", Regime.BOUNDARY),
+    ],
+)
+def test_closed_form_reports_the_winning_candidate(q, mu, kind, regime):
+    spec = ChannelSpec(q, mu)
+    result = two_qubit_capacity(spec)
+    assert result.method is MOEMethod.ANALYTIC_CLOSED_FORM and result.converged
+    assert result.regime is regime
+    assert np.abs(result.state - CANDIDATES[kind]).max() <= 1e-15
+    assert abs(result.s_min_bits - output_entropy(spec, CANDIDATES[kind])) <= 1e-12
+    assert result.saturation_gap <= 1e-12
+
+
+def test_candidate_minimum_check_passes_and_catches_a_closed_form_above_the_search():
+    rng = np.random.default_rng(75)
+    assert checks.candidate_minimum(rng, checks.DENSITIES["low"], 75) <= 1e-6
+
+    # 1e-6 above the true minimum stays inside the agreement bound, but the
+    # search then lands below the closed form, which no minimum allows.
+    def above(spec):
+        return SimpleNamespace(s_min_bits=two_qubit_capacity(spec).s_min_bits + 1e-6)
+
+    with mock.patch.object(checks, "two_qubit_capacity", above):
+        assert checks.candidate_minimum(rng, {"searches": 1}, 75) == math.inf
+
+
+def _simplex_point(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+# Four weights in [0, 1], each one zero a quarter of the time, not all zero.
+SIMPLEX = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(0.0), st.just(1.0)),
+    min_size=4,
+    max_size=4,
+).filter(lambda w: sum(w) > 0.0).map(_simplex_point)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(SIMPLEX, st.floats(0.0, 1.0))
+def test_default_capacity_is_the_four_candidate_minimum(q, mu):
+    spec = ChannelSpec(q, mu)
+    result = two_qubit_capacity(spec)
+    assert -1e-12 <= result.chi_bits <= 2.0 + 1e-12
+    assert result.saturation_gap <= 1e-8
+    # output_entropy goes through the dense channel, which shares no code with the closed form.
+    dense = min(output_entropy(spec, v) for v in CANDIDATES.values())
+    assert abs(result.s_min_bits - dense) <= 1e-12

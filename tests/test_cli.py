@@ -204,8 +204,9 @@ def test_closed_form_stdout_is_pinned(command):
         json.loads(GOLDEN_STDOUT[command], parse_constant=_reject_constant)
 
 
-# The numbers a default search reports for two custom channels.  The
-# state may move within the optimal set, so its amplitudes are not pinned.
+# The numbers the closed form and the default search (--numeric) both
+# report for two custom channels.  The searched state may move within the
+# optimal set, so its amplitudes are not pinned.
 SEARCH_LINES = {
     "capacity --q 0.4,0.3,0.2,0.1 --mu 0.6": (
         "s_min_bits: 1.29504207", "capacity_bits: 0.704957926",
@@ -220,11 +221,13 @@ SEARCH_LINES = {
 
 @pytest.mark.parametrize("command", sorted(SEARCH_LINES))
 def test_search_report_is_pinned(command):
-    code, out, err = run_captured(command.split())
-    assert (code, err) == (0, "")
-    keys = ("s_min_bits", "capacity_bits", "regime", "converged")
-    lines = tuple(line for line in out.splitlines() if line.split(":")[0] in keys)
-    assert lines == SEARCH_LINES[command]
+    for extra, method in (([], "Analytic"), (["--numeric"], "Numeric")):
+        code, out, err = run_captured(command.split() + extra)
+        assert (code, err) == (0, "")
+        keys = ("s_min_bits", "capacity_bits", "regime", "converged")
+        lines = tuple(line for line in out.splitlines() if line.split(":")[0] in keys)
+        assert lines == SEARCH_LINES[command]
+        assert f"method: {method}" in out.splitlines()
 
 
 def test_capacity_symmetric_analytic(tmp_path, capsys):
@@ -282,14 +285,17 @@ def test_capacity_json_per_qubit(tmp_path):
 
 def test_capacity_custom_channel_forced_numeric(tmp_path):
     out = tmp_path / "cap.txt"
-    code = run_cli(
-        ["capacity", "--family", "custom", "--q", "1,0,0,0", "--mu", "0.4",
-         "--restarts", "6", "--out", str(out)]
-    )
+    args = ["capacity", "--family", "custom", "--q", "1,0,0,0", "--mu", "0.4", "--restarts", "6"]
+    code = run_cli(args + ["--numeric", "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert "family: Custom" in text
     assert "method: Numeric" in text
+    assert "capacity_bits: 2" in text
+    # Without --numeric the four-candidate closed form answers.
+    code, text, _ = run_captured(args)
+    assert code == 0
+    assert "method: Analytic" in text
     assert "capacity_bits: 2" in text
 
 
@@ -551,27 +557,41 @@ def test_sweep_p_csv(tmp_path):
 
 
 def test_sweep_depolarizing_identity_limit(tmp_path):
-    out = tmp_path / "sweep.csv"
-    code = run_cli(
-        ["sweep-mu", "--family", "depolarizing", "--param", "1.0", "--steps", "3",
-         "--restarts", "6", "--out", str(out)]
-    )
-    assert code == 0
-    for line in out.read_text().splitlines()[1:]:
-        fields = line.split(",")
-        assert fields[6] == "Numeric"
-        assert abs(float(fields[4]) - 2.0) < 1e-9
+    args = ["sweep-mu", "--family", "depolarizing", "--param", "1.0", "--steps", "3",
+            "--restarts", "6"]
+    for extra, method in ((["--numeric"], "Numeric"), ([], "Analytic")):
+        out = tmp_path / f"sweep{len(extra)}.csv"
+        code = run_cli(args + extra + ["--out", str(out)])
+        assert code == 0
+        for line in out.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            assert fields[6] == method
+            assert abs(float(fields[4]) - 2.0) < 1e-9
 
 
-def test_sweep_bytes_stable_across_runs_and_threads(tmp_path):
-    args = ["sweep-mu", "--family", "depolarizing", "--param", "0.7", "--steps", "5",
-            "--restarts", "6", "--seed", "7"]
+SWEEP_DEPOLARIZING = ["sweep-mu", "--family", "depolarizing", "--param", "0.7", "--steps", "5",
+                      "--restarts", "6", "--seed", "7"]
+
+
+def _sweep_bytes_across_runs_and_threads(args, tmp_path):
     paths = [tmp_path / f"s{i}.csv" for i in range(3)]
     assert run_cli(args + ["--threads", "1", "--out", str(paths[0])]) == 0
     assert run_cli(args + ["--threads", "1", "--out", str(paths[1])]) == 0
     assert run_cli(args + ["--threads", "4", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+    return blobs[0].decode()
+
+
+def test_sweep_bytes_stable_across_runs_and_threads(tmp_path):
+    text = _sweep_bytes_across_runs_and_threads(SWEEP_DEPOLARIZING, tmp_path)
+    assert [row.split(",")[6] for row in text.splitlines()[1:]] == ["Analytic"] * 5
+
+
+def test_numeric_sweep_bytes_stable_across_runs_and_threads(tmp_path):
+    # The seeded search, not the closed form, must give the same bytes on every run.
+    text = _sweep_bytes_across_runs_and_threads(SWEEP_DEPOLARIZING + ["--numeric"], tmp_path)
+    assert [row.split(",")[6] for row in text.splitlines()[1:]] == ["Numeric"] * 5
 
 
 def test_sweep_json_round_trip(tmp_path):
@@ -598,17 +618,16 @@ def test_sweep_json_round_trip(tmp_path):
 
 
 def test_custom_sweep_has_nan_param(tmp_path):
-    out = tmp_path / "sweep.csv"
-    code = run_cli(
-        ["sweep-mu", "--q", "0.4,0.3,0.2,0.1", "--steps", "3", "--restarts", "6",
-         "--out", str(out)]
-    )
-    assert code == 0
-    for line in out.read_text().splitlines()[1:]:
-        fields = line.split(",")
-        assert fields[0] == "Custom"
-        assert fields[1] == "nan"
-        assert fields[6] == "Numeric"
+    args = ["sweep-mu", "--q", "0.4,0.3,0.2,0.1", "--steps", "3", "--restarts", "6"]
+    for extra, method in ((["--numeric"], "Numeric"), ([], "Analytic")):
+        out = tmp_path / f"sweep{len(extra)}.csv"
+        code = run_cli(args + extra + ["--out", str(out)])
+        assert code == 0
+        for line in out.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            assert fields[0] == "Custom"
+            assert fields[1] == "nan"
+            assert fields[6] == method
     # JSON has no nan: the custom channel's param is null.
     code, text, _ = run_captured(
         ["sweep-mu", "--q", "0.4,0.3,0.2,0.1", "--steps", "2", "--restarts", "6", "--json"]
@@ -685,17 +704,17 @@ def test_unconfirmed_search_exits_3(capsys, tmp_path):
     )
     assert code == 3 and not out.exists()
 
-    code = run_cli(
-        ["capacity", "--family", "depolarizing", "--param", "0.7", "--mu", "0.5",
-         "--restarts", "1"]
-    )
-    assert code == 3
+    capacity = ["capacity", "--family", "depolarizing", "--param", "0.7", "--mu", "0.5",
+                "--restarts", "1"]
+    assert run_cli(capacity + ["--numeric"]) == 3
+    # Without --numeric no search runs, so there is nothing to confirm.
+    assert run_captured(capacity)[0] == 0
 
     # An unconverged sweep still writes every row, then warns.
     out = tmp_path / "sweep.csv"
     code, stdout, stderr = run_captured(
         ["sweep-mu", "--family", "depolarizing", "--param", "0.7", "--steps", "2",
-         "--restarts", "1", "--out", str(out)]
+         "--restarts", "1", "--numeric", "--out", str(out)]
     )
     assert (code, stdout) == (3, "")
     assert stderr == "warning: numeric search did not converge at every grid point\n"
@@ -718,9 +737,10 @@ def test_verify_passes_and_is_deterministic(tmp_path, verify_low):
     assert run_cli(VERIFY_LOW + ["--out", str(out)]) == 0
     assert verify_low == (0, out.read_text(), "")
     text = out.read_text()
-    assert text.count("[PASS]") == 8
+    count = len(checks.CHECKS)
+    assert text.count("[PASS]") == count
     assert "[FAIL]" not in text
-    assert "8/8 checks passed" in text
+    assert f"{count}/{count} checks passed" in text
 
 
 def test_verify_failing_check_exits_1(verify_low):
@@ -732,6 +752,6 @@ def test_verify_failing_check_exits_1(verify_low):
     assert (code, err) == (1, "")
     lines, clean_lines = out.splitlines(), verify_low[1].splitlines()
     assert lines[3].startswith(f"[FAIL] {name}: ")
-    assert lines[-1] == "verify: 7/8 checks passed"
+    assert lines[-1] == f"verify: {len(checks.CHECKS) - 1}/{len(checks.CHECKS)} checks passed"
     del lines[3], lines[-1], clean_lines[3], clean_lines[-1]
     assert lines == clean_lines

@@ -34,7 +34,7 @@ from paulimem.search import (
 )
 from paulimem.spectral import von_neumann_entropy_bits
 from paulimem.symmetric import SymmetricParams, optimal_input
-from util import random_density_matrix
+from util import CANDIDATES, random_density_matrix
 
 S_MIN_030_050 = 1.536721674438358
 S_MIN_045_020 = 0.916501945827340
@@ -203,13 +203,6 @@ def test_crossing_none_without_sign_change():
 
 # Channels whose best candidate input is each of the four kinds; the
 # warm starts hold the Z and Bell candidates but no X or Y product state.
-_S = 1 / math.sqrt(2)
-CANDIDATES = {
-    "Z": np.array([1, 0, 0, 0], dtype=complex),
-    "X": np.full(4, 0.5, dtype=complex),
-    "Y": np.kron([_S, 1j * _S], [_S, 1j * _S]),
-    "Bell": BELL,
-}
 CANDIDATE_CHANNELS = {
     "Z": ChannelSpec((0.5, 0.3, 0.1, 0.1), 0.2),
     "X": ChannelSpec((0.5, 0.1, 0.3, 0.1), 0.2),
@@ -338,7 +331,7 @@ def test_runs_without_scipy():
         "from paulimem import cli\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    code = cli.main(['capacity', '--q', '0.4,0.3,0.2,0.1', '--mu', '0.6'])\n"
+        "    code = cli.main(['capacity', '--q', '0.4,0.3,0.2,0.1', '--mu', '0.6', '--numeric'])\n"
         "assert code == 0 and 'converged: true' in out.getvalue(), (code, out.getvalue())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['sweep-mu', '--family', 'symmetric', '--param', '0.3',\n"
