@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSpec, apply, is_symmetric_class, joint_distribution
-from .pauli import _PAIRS
+from .pauli import _PAIR_STACK
 from .search import (
     _BELL_CANDIDATE,
     _PRODUCT_CANDIDATE,
@@ -108,21 +108,23 @@ def covariant_ensemble(state) -> Ensemble:
     for a Bell state onto the four Bell projectors.
     """
     state = _require_unit_norm(state)
-    projectors = []
-    for u in _PAIRS:
-        v = u @ state
-        projectors.append(np.outer(v, v.conj()))
+    rotated = _PAIR_STACK @ state
+    projectors = rotated[:, :, None] * rotated[:, None, :].conj()
     return Ensemble(tuple(projectors), np.full(16, 1.0 / 16.0))
 
 
 def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
-    """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits."""
-    avg_entropy = von_neumann_entropy_bits(apply(spec, ensemble.average_input()))
+    """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits.
+
+    The average input and every member go through the channel in one
+    stacked ``apply``, which checks each of them; the entropies are then
+    taken one output at a time and summed in member order.
+    """
+    outputs = apply(spec, np.stack((ensemble.average_input(), *ensemble.states)))
     member_entropies = sum(
-        prob * von_neumann_entropy_bits(apply(spec, rho))
-        for prob, rho in zip(ensemble.priors, ensemble.states)
+        prob * von_neumann_entropy_bits(out) for prob, out in zip(ensemble.priors, outputs[1:])
     )
-    return avg_entropy - member_entropies
+    return von_neumann_entropy_bits(outputs[0]) - member_entropies
 
 
 def _candidate_optimum(spec: ChannelSpec) -> tuple[np.ndarray, float, Regime]:

@@ -13,7 +13,6 @@ and the channel acts as ``rho -> sum_ij p_ij (s_i x s_j) rho (s_i x s_j)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,48 +86,57 @@ def joint_distribution(spec: ChannelSpec) -> np.ndarray:
     return (1.0 - spec.mu) * np.outer(q, q) + spec.mu * np.diag(q)
 
 
-# A caller reuses a spec only within one point (the 17 applies of one
-# Holevo quantity), so a few entries keep every hit.
-@lru_cache(maxsize=16)
-def _kraus_stack(spec: ChannelSpec) -> np.ndarray:
-    """Stacked (16, 4, 4) Kraus operators sqrt(p_ij) s_i (x) s_j, read-only."""
-    weights = np.sqrt(joint_distribution(spec)).reshape(16)
-    stack = weights[:, None, None] * _PAIR_STACK
-    stack.flags.writeable = False
-    return stack
+def kraus_operators(spec: ChannelSpec) -> np.ndarray:
+    """The 16 Kraus operators ``sqrt(p_ij) s_i (x) s_j``, flat index ``4*i + j``.
+
+    Returned as a fresh ``(16, 4, 4)`` stack.
+    """
+    return np.sqrt(joint_distribution(spec)).reshape(16, 1, 1) * _PAIR_STACK
 
 
-def kraus_operators(spec: ChannelSpec) -> list[np.ndarray]:
-    """The 16 Kraus operators, flat index ``4*i + j``."""
-    return [k.copy() for k in _kraus_stack(spec)]
+# Each s_i (x) s_j is a phased permutation: row a holds its one nonzero
+# entry, _PHASE[k, a], in column _PERM[k, a].
+_PERM = np.abs(_PAIR_STACK).argmax(axis=-1)
+_PHASE = np.take_along_axis(_PAIR_STACK, _PERM[..., None], axis=-1)[..., 0]
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as ndarray."""
+    """Check Hermiticity, unit trace and positivity; return as ndarray.
+
+    ``rho`` is one 4x4 matrix or an ``(n, 4, 4)`` stack of them.  Every
+    member is checked, the positivity of all of them with one batched
+    ``eigvalsh``, and a single bad member rejects the stack.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    defect = np.abs(rho - rho.conj().T).max()
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"expected a 4x4 density matrix or an (n, 4, 4) stack, got shape {rho.shape}"
+        )
+    defect = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if not defect <= DENSITY_TOL:
         raise ValueError(f"not Hermitian: ||rho - rho+||_max = {defect:.3e}")
-    tr = rho.trace()
-    if not abs(tr - 1.0) <= DENSITY_TOL:
-        raise ValueError(f"trace is {tr!r}, not 1")
-    smallest = np.linalg.eigvalsh(rho)[0]
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = ~(np.abs(tr - 1.0) <= DENSITY_TOL)
+    if off.any():
+        raise ValueError(f"trace is {tr[off][0]!r}, not 1")
+    smallest = np.linalg.eigvalsh(rho)[..., 0].min()
     if not smallest >= -POSITIVITY_TOL:
         raise ValueError(f"not positive semidefinite: smallest eigenvalue {smallest:.3e}")
     return rho
 
 
-def _apply_stack(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_k K_k rho K_k+ for a stacked Kraus family (no validation)."""
-    return np.einsum("kab,bc,kdc->ad", stack, rho, stack.conj())
-
-
 def apply(spec: ChannelSpec, rho) -> np.ndarray:
-    """Send a density matrix through the channel (16-term Kraus sum)."""
+    """Send a density matrix, or an ``(n, 4, 4)`` stack of them, through the channel.
+
+    The Kraus term ``K_k rho K_k+`` is ``rho[..., perm_k(a), perm_k(d)]``
+    scaled by ``sqrt(p_k) ph_k(a)`` and ``sqrt(p_k) conj(ph_k(d))``; the 16
+    terms are summed in the fixed order ``k = 0..15``, so a member's output
+    has the same bits alone and in any stack.
+    """
     rho = validate_density_matrix(rho)
-    return _apply_stack(_kraus_stack(spec), rho)
+    weighted = np.sqrt(joint_distribution(spec)).reshape(16, 1) * _PHASE
+    permuted = rho[..., _PERM[:, :, None], _PERM[:, None, :]]
+    return ((weighted[:, :, None] * permuted) * weighted.conj()[:, None, :]).sum(axis=-3)
 
 
 def covariance_residual(spec: ChannelSpec, rho, i: int, j: int) -> float:
@@ -141,11 +149,8 @@ def covariance_residual(spec: ChannelSpec, rho, i: int, j: int) -> float:
     validate_pauli_index(i)
     validate_pauli_index(j)
     u = pauli_pair(i, j)
-    rho = validate_density_matrix(rho)
-    stack = _kraus_stack(spec)
-    lhs = _apply_stack(stack, u @ rho @ u)
-    rhs = u @ _apply_stack(stack, rho) @ u
-    return float(np.abs(lhs - rhs).max())
+    rotated, out = apply(spec, np.stack((u @ rho @ u, rho)))
+    return float(np.abs(rotated - u @ out @ u).max())
 
 
 def ensemble_average_output(spec: ChannelSpec, rho) -> np.ndarray:
@@ -154,10 +159,5 @@ def ensemble_average_output(spec: ChannelSpec, rho) -> np.ndarray:
     Equals the maximally mixed state I/4 for every input, because the
     Pauli pairs act irreducibly.
     """
-    rho = validate_density_matrix(rho)
-    stack = _kraus_stack(spec)
-    out = np.zeros((4, 4), dtype=complex)
-    for u in _PAIR_STACK:
-        out += _apply_stack(stack, u @ rho @ u)
-    return out / 16.0
-
+    rotated = np.stack([u @ rho @ u for u in _PAIR_STACK])
+    return apply(spec, rotated).sum(axis=0) / 16.0

@@ -27,7 +27,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .channel import ChannelSpec, _kraus_stack, apply
+from .channel import ChannelSpec, apply, kraus_operators
 from .spectral import von_neumann_entropy_bits
 
 #: Pure states must be normalized within this tolerance.
@@ -274,7 +274,7 @@ def minimize_output_entropy(
     """
     if config is None:
         config = SearchConfig()
-    objective = _entropy_objective(_kraus_stack(spec))
+    objective = _entropy_objective(kraus_operators(spec))
 
     xs, fs, steps, evaluations = _nelder_mead(
         objective, _start_points(config), config.max_iterations, tight=False

@@ -168,22 +168,20 @@ def optimal_input(params: SymmetricParams) -> OptimalInputReport:
 
     The output entropy decreases as Delta grows and phi = 0 maximizes
     Delta, so the optimum is whichever of theta = 0 (Delta = |eta|) and
-    theta = pi/4 (Delta = mu) wins.  Within BOUNDARY_TOL of the tie both
-    spectra coincide; the Bell state is reported as the representative.
+    theta = pi/4 (Delta = mu) wins.  Within BOUNDARY_TOL of the tie the two
+    entropies can still differ (by 2e-11 bits near p = 0, where an
+    eigenvalue nears zero), so ``s_min`` is the smaller of them; the Bell
+    state is reported as the representative.
     """
     eta_mag = abs(params.eta)
     if abs(params.mu - eta_mag) <= BOUNDARY_TOL:
-        regime = Regime.BOUNDARY
-        theta = math.pi / 4
+        regime, thetas = Regime.BOUNDARY, (0.0, math.pi / 4)
     elif params.mu > eta_mag:
-        regime = Regime.ENTANGLED
-        theta = math.pi / 4
+        regime, thetas = Regime.ENTANGLED, (math.pi / 4,)
     else:
-        regime = Regime.PRODUCT
-        theta = 0.0
-    state = AnsatzState(theta, 0.0)
-    s_min = shannon_entropy_bits(output_eigenvalues(params, state))
-    return OptimalInputReport(state, s_min, 2.0 - s_min, regime)
+        regime, thetas = Regime.PRODUCT, (0.0,)
+    s_min = min(ansatz_output_entropy(params, theta) for theta in thetas)
+    return OptimalInputReport(AnsatzState(thetas[-1], 0.0), s_min, 2.0 - s_min, regime)
 
 
 def threshold(p: float) -> float:

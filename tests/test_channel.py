@@ -131,6 +131,49 @@ def test_apply_rejects_invalid_state():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         apply(spec, bad)  # not Hermitian
+    for shape in [(3, 4), (2, 2, 4, 4)]:
+        with pytest.raises(ValueError, match="expected a 4x4 density matrix"):
+            apply(spec, np.zeros(shape))
+    # The covariance helpers take one matrix, not a stack.
+    stack = np.stack([np.eye(4) / 4] * 16)
+    with pytest.raises(ValueError):
+        covariance_residual(spec, stack, 1, 2)
+    with pytest.raises(ValueError):
+        ensemble_average_output(spec, stack)
+
+
+def test_apply_stack_is_its_members():
+    rng = np.random.default_rng(45)
+    for _ in range(10):
+        spec = random_spec(rng)
+        stack = np.stack([random_density_matrix(rng) for _ in range(17)])
+        out = apply(spec, stack)
+        assert out.shape == (17, 4, 4)
+        for rho, member in zip(stack, out):
+            # A member has the same bits alone as in the stack.
+            assert np.array_equal(member, apply(spec, rho))
+            dense = sum(k @ rho @ k.conj().T for k in kraus_operators(spec))
+            assert np.abs(member - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 0): 2.0}, "trace is"),
+        ({(0, 1): 0.5}, "not Hermitian"),
+        ({(0, 0): 1.25, (1, 1): -0.25}, "not positive semidefinite"),
+        ({(2, 2): np.nan}, "not Hermitian"),
+    ],
+    ids=["trace", "hermitian", "negative", "nan"],
+)
+def test_apply_rejects_a_stack_with_one_bad_member(entries, message):
+    rng = np.random.default_rng(46)
+    stack = np.stack([random_density_matrix(rng) for _ in range(5)])
+    stack[3] = PROJ_00
+    for index, value in entries.items():
+        stack[3][index] = value
+    with pytest.raises(ValueError, match=message):
+        apply(preset_symmetric(0.3, 0.5), stack)
 
 
 def test_kraus_identity_channel():

@@ -12,8 +12,8 @@ import pytest
 import paulimem
 from paulimem.channel import (
     ChannelSpec,
-    _kraus_stack,
     apply,
+    kraus_operators,
     preset_depolarizing,
     preset_symmetric,
 )
@@ -224,7 +224,7 @@ def test_objective_matches_apply_and_ignores_its_batch():
     # von_neumann_entropy_bits share none of that code.
     angles = np.random.default_rng(64).uniform(-4, 8, size=(40, 6))
     for spec in CANDIDATE_CHANNELS.values():
-        objective = _entropy_objective(_kraus_stack(spec))
+        objective = _entropy_objective(kraus_operators(spec))
         values = objective(angles)
         reference = [output_entropy(spec, parametrize_pure_state(a)) for a in angles]
         assert np.abs(values - reference).max() <= 1e-13
@@ -237,7 +237,7 @@ def test_objective_matches_apply_and_ignores_its_batch():
 
 def test_each_restart_descends_alone_as_in_the_batch():
     spec = ChannelSpec((0.45, 0.25, 0.2, 0.1), 0.35)
-    objective = _entropy_objective(_kraus_stack(spec))
+    objective = _entropy_objective(kraus_operators(spec))
     starts = _start_points(SearchConfig(restarts=14, seed=5))
     xs, fs, steps, evaluations = _nelder_mead(objective, starts, 2000, tight=False)
     alone_steps = alone_evaluations = 0
@@ -269,7 +269,7 @@ def test_restarts_follow_scipy_nelder_mead():
     options = {"maxiter": cfg.max_iterations, "xatol": 1e-6, "fatol": 1e-10}
 
     # Same objective: every restart takes scipy's steps and ends on its point.
-    objective = _entropy_objective(_kraus_stack(spec))
+    objective = _entropy_objective(kraus_operators(spec))
     xs, fs, _, _ = _nelder_mead(objective, starts, cfg.max_iterations, tight=False)
     for x0, x, f in zip(starts, xs, fs):
         ref = minimize(lambda a: objective(a[None])[0], x0, method="Nelder-Mead", options=options)
