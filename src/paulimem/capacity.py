@@ -117,14 +117,13 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits.
 
     The average input and every member go through the channel in one
-    stacked ``apply``, which checks each of them; the entropies are then
-    taken one output at a time and summed in member order.
+    stacked ``apply``, which checks each of them, and one stacked
+    ``von_neumann_entropy_bits`` takes all their entropies; the terms
+    ``p_i S_i`` are summed one by one in member order.
     """
     outputs = apply(spec, np.stack((ensemble.average_input(), *ensemble.states)))
-    member_entropies = sum(
-        prob * von_neumann_entropy_bits(out) for prob, out in zip(ensemble.priors, outputs[1:])
-    )
-    return von_neumann_entropy_bits(outputs[0]) - member_entropies
+    entropies = von_neumann_entropy_bits(outputs)
+    return entropies[0] - sum(prob * s for prob, s in zip(ensemble.priors, entropies[1:]))
 
 
 def _candidate_optimum(spec: ChannelSpec) -> tuple[np.ndarray, float, Regime]:

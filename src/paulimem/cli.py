@@ -238,10 +238,14 @@ def _run_sweep(args, parser) -> int:
     else:
         family, param, build = _resolve_family(args, parser)
         lo, hi = args.mu_min, args.mu_max
+    option = "--param" if args.sweep_param else "--mu"
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            parser.error(f"{option}-{end} must be finite, got {value}")
     if not lo <= hi:
         parser.error(f"the sweep range needs min <= max, got [{lo}, {hi}]")
-    # An infinite bound makes NaN grid points, which the library rejects.
-    with _usage_errors(parser), np.errstate(invalid="ignore"):
+    with _usage_errors(parser):
+        _search_config(args, args.seed)  # the base seed, before point_seed derives from it
         jobs = []
         for index, v in enumerate(np.linspace(lo, hi, args.steps)):
             point_param, point_mu = (float(v), mu) if args.sweep_param else (param, float(v))

@@ -1,4 +1,4 @@
-"""Eigenvalues of 4x4 Hermitian matrices and entropy functionals in bits."""
+"""Eigenvalues of 4x4 Hermitian matrices, alone or stacked, and entropy functionals in bits."""
 
 from __future__ import annotations
 
@@ -18,17 +18,20 @@ TRACE_TOL = 1e-10
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a 4x4 Hermitian matrix, sorted descending.
+    """Eigenvalues of a 4x4 Hermitian matrix or of each member of an
+    ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
 
-    Raises ValueError for non-4x4 or non-Hermitian input.
+    One ``eigvalsh`` takes the whole stack, and each member keeps the
+    bits it has alone.  Raises ValueError for any other shape, an empty
+    stack or a non-Hermitian member.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    defect = np.abs(m - m.conj().T).max()
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4) or m.size == 0:
+        raise ValueError(f"expected a 4x4 matrix or a nonempty (n, 4, 4) stack, got {m.shape}")
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: ||M - M+||_max = {defect:.3e}")
-    return np.linalg.eigvalsh(m)[::-1].copy()
+    return np.linalg.eigvalsh(m)[..., ::-1].copy()
 
 
 def shannon_entropy_bits(p) -> float:
@@ -50,16 +53,22 @@ def shannon_entropy_bits(p) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0  # +0.0 turns -0.0 into 0.0
 
 
-def von_neumann_entropy_bits(rho) -> float:
+def von_neumann_entropy_bits(rho) -> float | np.ndarray:
     """Von Neumann entropy of a two-qubit density matrix, in bits.
 
-    Equals the Shannon entropy of the spectrum; range [0, 2].
+    Equals the Shannon entropy of the spectrum; range [0, 2].  A 4x4
+    ``rho`` gives a float and an ``(n, 4, 4)`` stack an ``(n,)`` array,
+    from one ``hermitian_eigenvalues`` call; the first member that is not
+    positive or of unit trace rejects the stack.
     """
-    spectrum = hermitian_eigenvalues(rho)
-    if spectrum.min() < -DUST_TOL:
-        raise ValueError(
-            f"not positive semidefinite: smallest eigenvalue {spectrum.min():.3e}"
-        )
-    if abs(spectrum.sum() - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {spectrum.sum()!r}, not 1")
-    return shannon_entropy_bits(spectrum)
+    spectra = hermitian_eigenvalues(rho)
+    rows = spectra.reshape(-1, 4)
+    negative = rows[rows[:, -1] < -DUST_TOL, -1]
+    if negative.size:
+        raise ValueError(f"not positive semidefinite: smallest eigenvalue {negative[0]:.3e}")
+    traces = rows.sum(axis=1)
+    off = traces[np.abs(traces - 1.0) > TRACE_TOL]
+    if off.size:
+        raise ValueError(f"trace is {off[0]!r}, not 1")
+    entropies = [shannon_entropy_bits(spectrum) for spectrum in rows]
+    return entropies[0] if spectra.ndim == 1 else np.array(entropies)

@@ -152,6 +152,20 @@ def test_holevo_invariant_under_member_duplication():
     assert abs(holevo_chi(spec, base) - holevo_chi(spec, split)) < 1e-12
 
 
+def test_holevo_has_the_bits_of_one_output_at_a_time():
+    rng = np.random.default_rng(74)
+    for k in range(30):
+        spec = random_spec(rng)
+        if k % 2:
+            ens = covariant_ensemble(random_pure_state(rng))
+        else:
+            states = [np.outer(v, v.conj()) for v in (random_pure_state(rng) for _ in range(5))]
+            ens = Ensemble(tuple(states), rng.dirichlet(np.ones(5)))
+        outputs = [apply(spec, rho) for rho in (ens.average_input(), *ens.states)]
+        members = sum(p * von_neumann_entropy_bits(out) for p, out in zip(ens.priors, outputs[1:]))
+        assert holevo_chi(spec, ens) == von_neumann_entropy_bits(outputs[0]) - members
+
+
 def test_capacity_perfect_memory_bell():
     result = two_qubit_capacity(preset_symmetric(0.25, 1.0))
     assert abs(result.chi_bits - 2.0) < 1e-10

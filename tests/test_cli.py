@@ -88,6 +88,36 @@ state_amplitudes: 0.707106781+0j, 0+0j, 0+0j, 0.707106781+0j
   ]
 }
 """,
+    # The four-candidate closed form, at full precision.
+    "capacity --q 0.4,0.3,0.2,0.1 --mu 0.6 --json": """\
+{
+  "family": "Custom",
+  "mu": 0.6,
+  "s_min_bits": 1.2950420740031987,
+  "capacity_bits": 0.7049579259968013,
+  "regime": "Entangled",
+  "method": "Analytic",
+  "converged": true,
+  "state": [
+    [
+      0.7071067811865475,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.7071067811865475,
+      0.0
+    ]
+  ]
+}
+""",
     "sweep-mu --family symmetric --param 0.35 --steps 21": """\
 family,param,mu,s_min_bits,capacity_bits,regime,method
 Symmetric,0.35,0,1.7625818,0.237418202,Product,Analytic
@@ -379,6 +409,23 @@ def test_argument_errors_exit_2(tmp_path):
     assert errors["verify --seed -1"] == (
         "paulimem verify: error: seed must be a nonnegative integer, got -1"
     )
+
+
+SWEEP_MU = ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "3"]
+
+
+def test_sweep_words_a_bad_base_seed_like_the_other_commands():
+    with mock.patch.multiple(cli, **COMPUTATIONS):
+        assert assert_usage_error(SWEEP_MU + ["--seed", "-5"]) == (
+            "paulimem sweep-mu: error: seed must be a nonnegative integer, got -5"
+        )
+
+
+def test_sweep_names_a_non_finite_bound_by_its_option():
+    with mock.patch.multiple(cli, **COMPUTATIONS):
+        assert assert_usage_error(SWEEP_MU + ["--mu-max", "inf"]) == (
+            "paulimem sweep-mu: error: --mu-max must be finite, got inf"
+        )
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

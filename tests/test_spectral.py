@@ -133,3 +133,81 @@ def test_von_neumann_concavity_spot_check():
         mixed = von_neumann_entropy_bits(0.5 * rho1 + 0.5 * rho2)
         parts = 0.5 * von_neumann_entropy_bits(rho1) + 0.5 * von_neumann_entropy_bits(rho2)
         assert mixed >= parts - 1e-9
+
+
+def density_stack(rng, n: int) -> np.ndarray:
+    return np.stack([random_density_matrix(rng) for _ in range(n)])
+
+
+def projectors(rng, n: int) -> np.ndarray:
+    v = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v[:, :, None] * v[:, None, :].conj()
+
+
+def test_stack_matches_members_bit_for_bit():
+    rng = np.random.default_rng(26)
+    # Full-rank mixed states, and channel outputs of pure states, which
+    # have zero and near-zero eigenvalues.
+    stacks = [density_stack(rng, n) for n in (1, 2, 17)]
+    stacks += [apply(preset_symmetric(p, mu), projectors(rng, 17))
+               for p, mu in ((0.3, 0.5), (0.0, 0.7), (0.25, 0.0), (0.1, 1.0))]
+    for stack in stacks:
+        eigenvalues = hermitian_eigenvalues(stack)
+        entropies = von_neumann_entropy_bits(stack)
+        assert eigenvalues.shape == (len(stack), 4) and entropies.shape == (len(stack),)
+        assert np.array_equal(eigenvalues, [hermitian_eigenvalues(m) for m in stack])
+        assert np.array_equal(entropies, [von_neumann_entropy_bits(m) for m in stack])
+
+
+def test_single_matrix_entropy_is_a_python_float():
+    assert type(von_neumann_entropy_bits(np.eye(4) / 4)) is float
+    assert type(von_neumann_entropy_bits(random_density_matrix(np.random.default_rng(27)))) is float
+
+
+def with_member(stack: np.ndarray, k: int, m) -> np.ndarray:
+    stack = stack.copy()
+    stack[k] = m
+    return stack
+
+
+NOT_HERMITIAN = np.diag([0.25] * 4).astype(complex) + np.eye(4, k=1) * 1e-6
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (NOT_HERMITIAN, "not Hermitian"),
+        (np.diag([0.6, 0.3, 0.2, -0.1]), "smallest eigenvalue -1.000e-01"),
+        (np.diag([0.5, 0.3, 0.2, 0.1]), r"trace is (np\.float64\()?1\.1"),
+        (np.diag([0.25, 0.25, np.nan, 0.25]), "not Hermitian"),
+    ],
+    ids=["hermitian", "negative", "trace", "nan"],
+)
+def test_one_bad_member_rejects_the_stack(bad, message):
+    stack = with_member(density_stack(np.random.default_rng(28), 5), 3, bad)
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy_bits(stack)
+    if message == "not Hermitian":  # the one check hermitian_eigenvalues makes
+        with pytest.raises(ValueError, match=message):
+            hermitian_eigenvalues(stack)
+
+
+def test_stack_reports_its_first_bad_member():
+    stack = density_stack(np.random.default_rng(29), 5)
+    stack = with_member(stack, 1, np.diag([0.6, 0.3, 0.2, -0.1]))
+    stack = with_member(stack, 3, np.diag([0.7, 0.3, 0.2, -0.2]))
+    with pytest.raises(ValueError, match="smallest eigenvalue -1.000e-01"):
+        von_neumann_entropy_bits(stack)
+    stack = density_stack(np.random.default_rng(29), 5)
+    stack = with_member(stack, 1, np.diag([0.5, 0.3, 0.2, 0.1]))
+    stack = with_member(stack, 3, np.diag([0.5, 0.3, 0.2, 0.2]))
+    with pytest.raises(ValueError, match=r"trace is (np\.float64\()?1\.1"):
+        von_neumann_entropy_bits(stack)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2, 4, 4), (0, 4, 4)])
+@pytest.mark.parametrize("function", [hermitian_eigenvalues, von_neumann_entropy_bits])
+def test_stack_rejects_other_shapes(function, shape):
+    with pytest.raises(ValueError, match="4x4"):
+        function(np.zeros(shape, dtype=complex))
