@@ -3,10 +3,11 @@
 The channel applies a random Pauli pair to two consecutive uses; with
 probability ``mu`` the second use repeats the first use's operator.
 ``two_qubit_capacity`` returns the capacity together with the covariant
-input ensemble that attains it, in closed form for every channel: the
-paper's optimal input for the ``q0 = q1, q2 = q3`` family, and the best
-of the Z, X and Y product eigenstates and the Bell state otherwise.  A
-global minimal-output-entropy search, run on request, certifies it.
+input ensemble that attains it, in one closed form for every channel:
+the best of the Z, X and Y product eigenstates and the Bell state.  The
+paper's formulas for the ``q0 = q1, q2 = q3`` family are its independent
+oracle, and a global minimal-output-entropy search, run on request,
+certifies it.
 """
 
 from .capacity import (
@@ -45,7 +46,6 @@ from .spectral import (
 )
 from .symmetric import (
     AnsatzState,
-    OptimalInputReport,
     Regime,
     SymmetricParams,
     ansatz_state_vector,
@@ -65,7 +65,6 @@ __all__ = [
     "Ensemble",
     "MOEMethod",
     "MOEResult",
-    "OptimalInputReport",
     "Regime",
     "SearchConfig",
     "SymmetricParams",

@@ -4,7 +4,9 @@ For any input state the 16 Pauli-pair rotations of that state, taken
 with uniform priors, average to I/4 at the output and share one output
 entropy.  The Holevo quantity of that ensemble therefore equals
 ``2 - S(E(rho))``; built on a minimal-output-entropy state it attains
-the two-qubit capacity.
+the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
+family included, takes that state from one closed form: the best of the
+four candidate inputs of ``channel``.
 """
 
 from __future__ import annotations
@@ -13,64 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, apply, is_symmetric_class, joint_distribution
+from .channel import _BELL, _CANDIDATES, ChannelSpec, apply, candidate_entropies
 from .pauli import _PAIR_STACK
-from .search import (
-    _BELL_CANDIDATE,
-    _PRODUCT_CANDIDATE,
-    MOEMethod,
-    SearchConfig,
-    _require_unit_norm,
-    minimize_output_entropy,
-)
-from .spectral import shannon_entropy_bits, von_neumann_entropy_bits
-from .symmetric import BOUNDARY_TOL, Regime, SymmetricParams, ansatz_state_vector, optimal_input
+from .search import MOEMethod, SearchConfig, _require_unit_norm, minimize_output_entropy
+from .spectral import von_neumann_entropy_bits
+from .symmetric import BOUNDARY_TOL, Regime
 
 #: Ensemble priors must sum to one within this tolerance.
 PRIOR_SUM_TOL = 1e-12
 
-_PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
-
-
-def _axis_labels(k: int) -> np.ndarray:
-    """Output label of each Pauli pair on the product eigenstate of ``s_k (x) s_k``.
-
-    ``s_0`` and ``s_k`` keep an eigenstate of ``s_k``; the other two flip
-    it to the orthogonal one.
-    """
-    flip_i = (_PAIR_I != 0) & (_PAIR_I != k)
-    flip_j = (_PAIR_J != 0) & (_PAIR_J != k)
-    return 2 * flip_i + flip_j
-
-
-#: Candidate minimal-output-entropy inputs with, for each Pauli pair, the
-#: label of the orthonormal state it sends the candidate to: the product
-#: eigenstates of ``s_1``, ``s_2`` and ``s_3`` on both qubits (|00>, |++>,
-#: |+i +i>), and the Bell state, which ``s_i (x) s_j`` sends to the Bell
-#: state ``i XOR j``.
-_CANDIDATES = (
-    (_PRODUCT_CANDIDATE, _axis_labels(1)),
-    (np.full(4, 0.5, dtype=complex), _axis_labels(2)),
-    (np.array([0.5, 0.5j, 0.5j, -0.5], dtype=complex), _axis_labels(3)),
-    (_BELL_CANDIDATE, _PAIR_I ^ _PAIR_J),
-)
-_BELL = len(_CANDIDATES) - 1
-
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Input states with prior probabilities."""
+    """Input states, an ``(n, 4, 4)`` array, with prior probabilities."""
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     priors: np.ndarray
 
     def __post_init__(self):
-        states = tuple(np.asarray(s, dtype=complex) for s in self.states)
+        states = np.asarray(self.states, dtype=complex)
         priors = np.asarray(self.priors, dtype=float)
         if len(states) != priors.size:
-            raise ValueError(
-                f"{len(states)} states but {priors.size} priors"
-            )
+            raise ValueError(f"{len(states)} states but {priors.size} priors")
         if not priors.min() >= 0.0:
             raise ValueError(f"priors must be nonnegative, got min {priors.min()!r}")
         if not abs(priors.sum() - 1.0) <= PRIOR_SUM_TOL:
@@ -79,11 +45,9 @@ class Ensemble:
         object.__setattr__(self, "priors", priors)
 
     def average_input(self) -> np.ndarray:
-        """Prior-weighted average of the input states."""
-        avg = np.zeros((4, 4), dtype=complex)
-        for prob, rho in zip(self.priors, self.states):
-            avg += prob * rho
-        return avg
+        """Prior-weighted average of the input states, added in member order."""
+        weighted = self.priors[:, None, None] * self.states
+        return np.add.reduce(weighted, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +74,7 @@ def covariant_ensemble(state) -> Ensemble:
     state = _require_unit_norm(state)
     rotated = _PAIR_STACK @ state
     projectors = rotated[:, :, None] * rotated[:, None, :].conj()
-    return Ensemble(tuple(projectors), np.full(16, 1.0 / 16.0))
+    return Ensemble(projectors, np.full(16, 1.0 / 16.0))
 
 
 def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
@@ -121,7 +85,7 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     ``von_neumann_entropy_bits`` takes all their entropies; the terms
     ``p_i S_i`` are summed one by one in member order.
     """
-    outputs = apply(spec, np.stack((ensemble.average_input(), *ensemble.states)))
+    outputs = apply(spec, np.concatenate((ensemble.average_input()[None], ensemble.states)))
     entropies = von_neumann_entropy_bits(outputs)
     return entropies[0] - sum(prob * s for prob, s in zip(ensemble.priors, entropies[1:]))
 
@@ -129,18 +93,12 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
 def _candidate_optimum(spec: ChannelSpec) -> tuple[np.ndarray, float, Regime]:
     """Best of the four candidate inputs: its state, ``s_min`` and the regime.
 
-    A candidate's output is diagonal in the states the 16 Pauli pairs send
-    it to, so its spectrum is the joint weights summed by label.  ``s_min``
-    is the smallest of the four entropies.  An axis that beats the Bell
-    state is Product, a Bell state that beats every axis is Entangled, and
-    a tie within BOUNDARY_TOL is Boundary, with the Bell state reported
-    as the representative.
+    ``s_min`` is the smallest of the four entropies.  An axis that beats
+    the Bell state is Product, a Bell state that beats every axis is
+    Entangled, and a tie within BOUNDARY_TOL is Boundary, with the Bell
+    state reported as the representative.
     """
-    weights = joint_distribution(spec).ravel()
-    entropies = [
-        shannon_entropy_bits(np.bincount(labels, weights, minlength=4))
-        for _, labels in _CANDIDATES
-    ]
+    entropies = candidate_entropies(spec)
     axis = min(range(_BELL), key=entropies.__getitem__)
     margin = entropies[axis] - entropies[_BELL]
     if abs(margin) <= BOUNDARY_TOL:
@@ -159,31 +117,21 @@ def two_qubit_capacity(
 ) -> CapacityResult:
     """Two-qubit capacity with the ensemble that attains it.
 
-    Every channel takes a closed form.  Channels with ``q0 = q1`` and
-    ``q2 = q3`` take the symmetric family's optimal input; the match is
-    exact, because that formula reads only ``q0`` and ``mu`` and would be
-    off by about ``d log2(1/d)`` bits on a channel a distance ``d`` from
-    the family.  All other channels take the best of four candidate
-    inputs: the Z, X and Y product eigenstates and the Bell state.
-    ``force_numeric`` runs the global search with ``config`` in their
+    Every channel takes the closed form: the best of four candidate
+    inputs, the Z, X and Y product eigenstates and the Bell state.  For
+    the ``q0 = q1, q2 = q3`` family that is the paper's optimal input,
+    and ``symmetric.capacity_symmetric`` is its independent oracle.
+    ``force_numeric`` runs the global search with ``config`` in its
     place, and the regime then still comes from the four candidates.
     The saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for
     every Pauli memory channel regardless of route.
     """
+    state, s_min, regime = _candidate_optimum(spec)
     method, converged = MOEMethod.ANALYTIC_CLOSED_FORM, True
-    if not force_numeric and is_symmetric_class(spec):
-        report = optimal_input(SymmetricParams(spec.q[0], spec.mu))
-        state = ansatz_state_vector(report.state)
-        s_min = report.s_min_bits
-        regime = report.regime
-    else:
-        state, s_min, regime = _candidate_optimum(spec)
-        if force_numeric:
-            result = minimize_output_entropy(spec, config)
-            state = result.state
-            s_min = result.entropy_bits
-            method = result.method
-            converged = result.converged
+    if force_numeric:
+        result = minimize_output_entropy(spec, config)
+        state, s_min = result.state, result.entropy_bits
+        method, converged = result.method, result.converged
 
     ensemble = covariant_ensemble(state)
     chi = holevo_chi(spec, ensemble)

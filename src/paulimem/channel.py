@@ -8,15 +8,20 @@ joint weights are
     p_ij = (1 - mu) q_i q_j + mu q_i delta_ij
 
 and the channel acts as ``rho -> sum_ij p_ij (s_i x s_j) rho (s_i x s_j)``.
+
+The four candidate inputs of ``candidate_entropies`` hold the minimal
+output entropy of every such channel (Daems, PRA 76, 012310 (2007)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import _PAIR_STACK, pauli_pair, validate_pauli_index
+from .spectral import shannon_entropy_bits
 
 #: Channel weights must sum to one within this tolerance.
 WEIGHT_SUM_TOL = 1e-12
@@ -71,12 +76,6 @@ def preset_depolarizing(x: float, mu: float) -> ChannelSpec:
     return ChannelSpec((x, r, r, r), mu)
 
 
-def is_symmetric_class(spec: ChannelSpec) -> bool:
-    """True when ``q0 = q1`` and ``q2 = q3`` exactly."""
-    q = spec.q
-    return q[0] == q[1] and q[2] == q[3]
-
-
 def joint_distribution(spec: ChannelSpec) -> np.ndarray:
     """Joint Pauli-pair weights ``p_ij = (1-mu) q_i q_j + mu q_i delta_ij``.
 
@@ -92,6 +91,47 @@ def kraus_operators(spec: ChannelSpec) -> np.ndarray:
     Returned as a fresh ``(16, 4, 4)`` stack.
     """
     return np.sqrt(joint_distribution(spec)).reshape(16, 1, 1) * _PAIR_STACK
+
+
+_PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
+
+
+def _axis_labels(k: int) -> np.ndarray:
+    """Output label of each Pauli pair on the product eigenstate of ``s_k (x) s_k``.
+
+    ``s_0`` and ``s_k`` keep an eigenstate of ``s_k``; the other two flip
+    it to the orthogonal one.
+    """
+    flip_i = (_PAIR_I != 0) & (_PAIR_I != k)
+    flip_j = (_PAIR_J != 0) & (_PAIR_J != k)
+    return 2 * flip_i + flip_j
+
+
+#: Candidate minimal-output-entropy inputs with, for each Pauli pair, the
+#: label of the orthonormal state it sends the candidate to: the product
+#: eigenstates of ``s_1``, ``s_2`` and ``s_3`` on both qubits (|00>, |++>,
+#: |+i +i>), and the Bell state, which ``s_i (x) s_j`` sends to the Bell
+#: state ``i XOR j``.
+_CANDIDATES = (
+    (np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), _axis_labels(1)),
+    (np.full(4, 0.5, dtype=complex), _axis_labels(2)),
+    (np.array([0.5, 0.5j, 0.5j, -0.5], dtype=complex), _axis_labels(3)),
+    (np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0), _PAIR_I ^ _PAIR_J),
+)
+_BELL = len(_CANDIDATES) - 1
+
+
+def candidate_entropies(spec: ChannelSpec) -> list[float]:
+    """Output entropies in bits of the Z, X and Y axis candidates and the Bell state.
+
+    A candidate's output is diagonal in the states the 16 Pauli pairs send
+    it to, so its spectrum is the joint weights summed by label.
+    """
+    weights = joint_distribution(spec).ravel()
+    return [
+        shannon_entropy_bits(np.bincount(labels, weights, minlength=4))
+        for _, labels in _CANDIDATES
+    ]
 
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero

@@ -31,6 +31,9 @@ from .symmetric import capacity_symmetric, threshold
 #: Custom weights are renormalized only below this deviation from 1.
 Q_RENORM_TOL = 1e-9
 
+#: Most grid points one sweep takes.
+MAX_STEPS = 1_000_000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
@@ -219,8 +222,8 @@ def _run_capacity(args, parser) -> int:
 
 
 def _run_sweep(args, parser) -> int:
-    if args.steps < 2:
-        parser.error(f"--steps must be at least 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_STEPS:
+        parser.error(f"--steps must lie in [2, {MAX_STEPS}], got {args.steps}")
     if args.threads < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 

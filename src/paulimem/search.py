@@ -3,10 +3,12 @@
 This is the brute-force route to the capacity: by concavity of the von
 Neumann entropy the minimum over all inputs is attained on a pure state,
 so a multi-start derivative-free descent over a 6-angle parametrization
-of pure two-qubit states suffices.  It shares no code with the closed
-forms and serves as their certificate: ``force_numeric`` and
+of pure two-qubit states suffices.  The search shares no code with the
+closed forms and serves as their certificate: ``force_numeric`` and
 ``--numeric`` run it in their place, and ``verify`` checks on random
-channels that it never ends below the four-candidate minimum.
+channels that it never ends below the four-candidate minimum.  Only the
+two threshold helpers at the end of the module read the candidate
+entropies of the closed form, to locate a channel's regime switch.
 
 The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
 restart simplices in lock-step: each step scores the trial points of
@@ -27,11 +29,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .channel import ChannelSpec, apply, kraus_operators
+from .channel import ChannelSpec, apply, candidate_entropies, kraus_operators
 from .spectral import von_neumann_entropy_bits
 
 #: Pure states must be normalized within this tolerance.
 NORM_TOL = 1e-12
+
+#: Most restarts one search takes; their simplices descend in one batch.
+MAX_RESTARTS = 10_000
 
 _HALF_PI = math.pi / 2
 
@@ -50,6 +55,8 @@ class SearchConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.restarts > MAX_RESTARTS:
+            raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts!r}")
         if not 0.0 < self.entropy_tolerance < math.inf:
             raise ValueError(
                 f"entropy_tolerance must be finite and positive, got {self.entropy_tolerance}"
@@ -311,23 +318,19 @@ def schmidt_coefficients(state) -> np.ndarray:
     return np.linalg.svd(state.reshape(2, 2), compute_uv=False)
 
 
-_PRODUCT_CANDIDATE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-_BELL_CANDIDATE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-
-
 def candidate_entropy_gap(spec: ChannelSpec) -> float:
-    """Output entropy of |00> minus that of the Bell state (|00>+|11>)/sqrt2.
+    """Smallest axis candidate's output entropy minus the Bell state's.
 
-    Negative where the product candidate wins, positive where the Bell
-    candidate does.
+    The margin that sets the regime: negative where a product eigenstate
+    of ``s_1``, ``s_2`` or ``s_3`` wins, positive where the Bell state
+    (|00>+|11>)/sqrt2 does.
     """
-    return output_entropy(spec, _PRODUCT_CANDIDATE) - output_entropy(
-        spec, _BELL_CANDIDATE
-    )
+    *axes, bell = candidate_entropies(spec)
+    return min(axes) - bell
 
 
 def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
-    """Memory value where the product and Bell candidates swap rank.
+    """Memory value where the best product axis and the Bell state swap rank.
 
     Bisects the sign of :func:`candidate_entropy_gap` over ``mu`` in
     [0, 1]; ``spec_factory(mu)`` must build the channel.  Returns None

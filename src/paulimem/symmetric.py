@@ -1,11 +1,12 @@
-"""Closed-form capacity machinery for channels with ``q0 = q1``, ``q2 = q3``.
+"""The paper's closed form for channels with ``q0 = q1``, ``q2 = q3``.
 
 For this family every minimal-output-entropy input can be taken of the
 form ``cos(theta)|00> + e^(i phi) sin(theta)|11>``.  The channel output
 of such a state has an explicit Pauli expansion and explicit eigenvalues,
 which reduce the capacity to a two-way comparison: the product state
 |00> below the memory threshold ``|4p - 1|``, the Bell state at
-``theta = pi/4`` above it.
+``theta = pi/4`` above it.  ``two_qubit_capacity`` does not call these
+formulas; they are the independent oracle for its four-candidate form.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .spectral import shannon_entropy_bits
 
-#: Width of the degenerate band around ``mu = |4p - 1|``.
+#: Width of the Boundary band: of the best axis-Bell entropy tie in
+#: ``two_qubit_capacity``, of ``|mu - |4p - 1||`` in ``optimal_input``.
 BOUNDARY_TOL = 1e-12
 
 

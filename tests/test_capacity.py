@@ -28,7 +28,7 @@ from paulimem.spectral import (
     shannon_entropy_bits,
     von_neumann_entropy_bits,
 )
-from paulimem.symmetric import Regime
+from paulimem.symmetric import Regime, SymmetricParams, capacity_symmetric, optimal_input
 from util import CANDIDATES, random_pure_state, random_spec
 
 S_MIN_045_020 = 0.916501945827340
@@ -164,6 +164,16 @@ def test_holevo_has_the_bits_of_one_output_at_a_time():
         outputs = [apply(spec, rho) for rho in (ens.average_input(), *ens.states)]
         members = sum(p * von_neumann_entropy_bits(out) for p, out in zip(ens.priors, outputs[1:]))
         assert holevo_chi(spec, ens) == von_neumann_entropy_bits(outputs[0]) - members
+        # The average adds the weighted members in order, as a loop over them does.
+        loop = np.zeros((4, 4), dtype=complex)
+        for prob, rho in zip(ens.priors, ens.states):
+            loop += prob * rho
+        assert np.array_equal(ens.average_input(), loop)
+        # States given as a tuple or as one stacked array hold the same bits.
+        as_tuple = Ensemble(tuple(ens.states), ens.priors)
+        stacked = Ensemble(np.stack(ens.states), ens.priors)
+        assert np.array_equal(as_tuple.average_input(), stacked.average_input())
+        assert holevo_chi(spec, as_tuple) == holevo_chi(spec, stacked)
 
 
 def test_capacity_perfect_memory_bell():
@@ -178,6 +188,34 @@ def test_capacity_symmetric_product_regime():
     assert abs(result.chi_bits - (2.0 - S_MIN_045_020)) < 1e-9
     assert result.regime is Regime.PRODUCT
     assert result.converged
+
+
+def symmetric_points(rng, count):
+    """Symmetric-family ``(p, mu)``: a quarter on ``|4p-1|``, a quarter 1e-12 to 1e-6 off it."""
+    for _ in range(count):
+        p = float(rng.uniform(0.0, 0.5))
+        kind = rng.integers(4)
+        edge = abs(4.0 * p - 1.0)
+        if kind == 0:
+            mu = edge
+        elif kind == 1:
+            side = 1.0 if rng.uniform() < 0.5 else -1.0
+            mu = min(1.0, max(0.0, edge + side * 10.0 ** rng.uniform(-12, -6)))
+        else:
+            mu = float(rng.uniform())
+        yield p, mu
+
+
+def test_four_candidates_match_the_papers_formula_on_the_symmetric_family():
+    # The paper's eigenvalue formula shares no code with the candidate spectra.
+    for p, mu in symmetric_points(np.random.default_rng(76), 2000):
+        result = two_qubit_capacity(preset_symmetric(p, mu))
+        paper = optimal_input(SymmetricParams(p, mu))
+        assert abs(result.s_min_bits - paper.s_min_bits) <= 1e-14, (p, mu)
+        assert abs(result.chi_bits - capacity_symmetric(p, mu)) <= 1e-11, (p, mu)
+        # The two Boundary bands, a tie in entropy and one in mu, differ within 1e-9 of it.
+        if abs(mu - abs(4.0 * p - 1.0)) > 1e-8:
+            assert result.regime is paper.regime, (p, mu)
 
 
 def test_capacity_depolarizing_numeric():

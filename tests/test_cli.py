@@ -166,8 +166,8 @@ Symmetric,0.35,1,0,2,Entangled,Analytic
     "family": "Symmetric",
     "param": 0.2,
     "mu": 0.5,
-    "s_min_bits": 1.536721674438358,
-    "capacity_bits": 0.46327832556164217,
+    "s_min_bits": 1.5367216744383576,
+    "capacity_bits": 0.46327832556164195,
     "regime": "Entangled",
     "method": "Analytic"
   },
@@ -497,10 +497,15 @@ UNIT, HALF = outside(0.0, 1.0), outside(0.0, 0.5)
 WEIGHTS = outside(0.0, 1.0).map(lambda x: f"{x},{0.5 - x},0.25,0.25")
 SEARCH = {
     "--tolerance": st.one_of(st.sampled_from([math.nan, math.inf]), st.floats(max_value=0.0)),
-    "--restarts": ints_below(1),
+    # A size above its cap is rejected before any array of that size is built.
+    "--restarts": st.one_of(ints_below(1), st.integers(min_value=10_001)),
     "--seed": ints_below(0),
 }
-SWEEP = {**SEARCH, "--steps": ints_below(2), "--threads": ints_below(1)}
+SWEEP = {
+    **SEARCH,
+    "--steps": st.one_of(ints_below(2), st.integers(min_value=1_000_001)),
+    "--threads": ints_below(1),
+}
 SYMMETRIC = ("--family", "symmetric", "--param", "0.3")
 DEPOLARIZING = ("--family", "depolarizing", "--param", "0.7")
 

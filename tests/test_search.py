@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import paulimem
+from paulimem.capacity import two_qubit_capacity
 from paulimem.channel import (
     ChannelSpec,
     apply,
@@ -33,7 +34,7 @@ from paulimem.search import (
     schmidt_coefficients,
 )
 from paulimem.spectral import von_neumann_entropy_bits
-from paulimem.symmetric import SymmetricParams, optimal_input
+from paulimem.symmetric import Regime, SymmetricParams, optimal_input
 from util import CANDIDATES, random_density_matrix
 
 S_MIN_030_050 = 1.536721674438358
@@ -199,6 +200,30 @@ def test_crossing_at_symmetric_threshold():
 def test_crossing_none_without_sign_change():
     # x=1 is the identity channel: both candidates give zero entropy.
     assert crossing_mu(lambda mu: preset_depolarizing(1.0, mu)) is None
+
+
+@pytest.mark.parametrize(
+    "kind, q", [("X", (0.5, 0.05, 0.4, 0.05)), ("Y", (0.5, 0.05, 0.05, 0.4))]
+)
+def test_crossing_finds_the_switch_of_x_and_y_optimal_channels(kind, q):
+    found = crossing_mu(lambda mu: ChannelSpec(q, mu), tol=1e-6)
+    assert found is not None
+    below = two_qubit_capacity(ChannelSpec(q, found - 1e-4))
+    above = two_qubit_capacity(ChannelSpec(q, found + 1e-4))
+    assert below.regime is Regime.PRODUCT and above.regime is Regime.ENTANGLED
+    assert np.abs(below.state - CANDIDATES[kind]).max() <= 1e-15
+
+
+def test_candidate_gap_is_best_axis_minus_bell_through_the_dense_channel():
+    # output_entropy goes through apply and an eigendecomposition, not the candidate labels.
+    rng = np.random.default_rng(65)
+    for alpha in (1.0, 0.3):
+        for _ in range(60):
+            q = rng.dirichlet(np.full(4, alpha))
+            spec = ChannelSpec(tuple(q / q.sum()), float(rng.uniform()))
+            dense = {kind: output_entropy(spec, v) for kind, v in CANDIDATES.items()}
+            expected = min(dense["Z"], dense["X"], dense["Y"]) - dense["Bell"]
+            assert abs(candidate_entropy_gap(spec) - expected) <= 1e-12
 
 
 # Channels whose best candidate input is each of the four kinds; the
