@@ -35,12 +35,16 @@ class Ensemble:
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
         priors = np.asarray(self.priors, dtype=float)
+        if states.ndim != 3 or states.shape[1:] != (4, 4) or not len(states):
+            raise ValueError(
+                f"states must be a nonempty (n, 4, 4) stack, got shape {states.shape}"
+            )
         if len(states) != priors.size:
             raise ValueError(f"{len(states)} states but {priors.size} priors")
         if not priors.min() >= 0.0:
-            raise ValueError(f"priors must be nonnegative, got min {priors.min()!r}")
+            raise ValueError(f"priors must be nonnegative, got min {float(priors.min())!r}")
         if not abs(priors.sum() - 1.0) <= PRIOR_SUM_TOL:
-            raise ValueError(f"priors must sum to 1, got {priors.sum()!r}")
+            raise ValueError(f"priors must sum to 1, got {float(priors.sum())!r}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
 

@@ -132,7 +132,7 @@ def _require_unit_norm(state) -> np.ndarray:
         raise ValueError(f"expected 4 amplitudes, got shape {state.shape}")
     norm = np.linalg.norm(state)
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state norm is {norm!r}, not 1")
+        raise ValueError(f"state norm is {float(norm)!r}, not 1")
     return state
 
 

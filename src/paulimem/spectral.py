@@ -34,23 +34,52 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh(m)[..., ::-1].copy()
 
 
-def shannon_entropy_bits(p) -> float:
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a checked ``(n, k)`` stack.
+
+    Clamp, ``log2`` and row sum are whole-array operations.  A zero entry
+    adds an exact +0.0 and numpy sums a row of fewer than 8 entries in
+    order, so such a row has the bits of summing its nonzero terms alone.
+    """
+    rows = np.clip(rows, 0.0, 1.0)
+    logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0.0)
+    return -(rows * logs).sum(axis=1) + 0.0  # +0.0 turns -0.0 into 0.0
+
+
+def shannon_entropy_bits(p) -> float | np.ndarray:
     """Shannon entropy -sum p_i log2 p_i with 0 log 0 = 0, in bits.
 
-    Entries in [-DUST_TOL, 0) are clamped to zero; inputs violating
-    positivity or normalization beyond tolerance are rejected.
+    One probability vector gives a float, and an ``(n, k)`` stack of them,
+    one per row, gives an ``(n,)`` array from one pass over the stack.
+    Entries in [-DUST_TOL, 0) are clamped to zero.  Non-finite entries,
+    and positivity or normalization violated beyond tolerance, are
+    rejected; the message names the first bad row of a stack.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size == 0:
-        raise ValueError("probability vector is empty")
-    if not p.min() >= -DUST_TOL:
-        raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
-    total = p.sum()
-    if not abs(total - 1.0) <= PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum()) + 0.0  # +0.0 turns -0.0 into 0.0
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValueError(
+            f"expected a nonempty probability vector or (n, k) stack, got shape {p.shape}"
+        )
+    rows = p.reshape(-1, p.shape[-1])
+
+    def row(bad: np.ndarray) -> str:
+        return "" if p.ndim == 1 else f"row {bad.argmax()}: "
+
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{row(bad)}probabilities must be finite")
+    smallest = rows.min(axis=1)
+    bad = smallest < -DUST_TOL
+    if bad.any():
+        raise ValueError(
+            f"{row(bad)}negative probability {smallest[bad.argmax()]:.3e} beyond tolerance"
+        )
+    totals = rows.sum(axis=1)
+    bad = np.abs(totals - 1.0) > PROB_SUM_TOL
+    if bad.any():
+        raise ValueError(f"{row(bad)}probabilities sum to {float(totals[bad.argmax()])!r}, not 1")
+    entropies = _row_entropies(rows)
+    return float(entropies[0]) if p.ndim == 1 else entropies
 
 
 def von_neumann_entropy_bits(rho) -> float | np.ndarray:
@@ -58,8 +87,9 @@ def von_neumann_entropy_bits(rho) -> float | np.ndarray:
 
     Equals the Shannon entropy of the spectrum; range [0, 2].  A 4x4
     ``rho`` gives a float and an ``(n, 4, 4)`` stack an ``(n,)`` array,
-    from one ``hermitian_eigenvalues`` call; the first member that is not
-    positive or of unit trace rejects the stack.
+    from one ``hermitian_eigenvalues`` call and one pass of the Shannon
+    kernel; the first member that is not positive or of unit trace
+    rejects the stack.
     """
     spectra = hermitian_eigenvalues(rho)
     rows = spectra.reshape(-1, 4)
@@ -69,6 +99,6 @@ def von_neumann_entropy_bits(rho) -> float | np.ndarray:
     traces = rows.sum(axis=1)
     off = traces[np.abs(traces - 1.0) > TRACE_TOL]
     if off.size:
-        raise ValueError(f"trace is {off[0]!r}, not 1")
-    entropies = [shannon_entropy_bits(spectrum) for spectrum in rows]
-    return entropies[0] if spectra.ndim == 1 else np.array(entropies)
+        raise ValueError(f"trace is {float(off[0])!r}, not 1")
+    entropies = _row_entropies(rows)
+    return float(entropies[0]) if spectra.ndim == 1 else entropies

@@ -1,6 +1,7 @@
 """Covariant ensembles and the saturation of the capacity bound."""
 
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -29,7 +30,7 @@ from paulimem.spectral import (
     von_neumann_entropy_bits,
 )
 from paulimem.symmetric import Regime, SymmetricParams, capacity_symmetric, optimal_input
-from util import CANDIDATES, random_pure_state, random_spec
+from util import CANDIDATES, mixed_channels, random_pure_state, random_spec, shannon_row_oracle
 
 S_MIN_045_020 = 0.916501945827340
 
@@ -52,6 +53,13 @@ def test_ensemble_validation():
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (0, 4, 4), (4, 4), (2, 4, 4, 1), (2, 4, 3)])
+def test_ensemble_requires_a_nonempty_stack_of_4x4_states(shape):
+    message = re.escape(f"nonempty (n, 4, 4) stack, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        Ensemble(np.zeros(shape, dtype=complex), [1.0])
 
 
 NAN = float("nan")
@@ -86,6 +94,33 @@ def test_invalid_input_raises_value_error(call):
         call()
     # LinAlgError is a ValueError too: the input check, not the solver, must reject it.
     assert info.type is ValueError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply(preset_symmetric(0.3, 0.5), 0.3 * np.eye(4)),
+        lambda: von_neumann_entropy_bits(np.diag([0.5, 0.3, 0.3, 0.1])),
+        lambda: shannon_entropy_bits([0.3] * 4),
+        lambda: shannon_entropy_bits([[0.25] * 4, [0.3] * 4]),
+        lambda: shannon_entropy_bits([0.6, 0.6, -0.2, 0.0]),
+        lambda: shannon_entropy_bits([NAN, 0.5, 0.5, 0.0]),
+        lambda: Ensemble((np.eye(4) / 4,) * 2, np.array([0.7, 0.7])),
+        lambda: Ensemble((np.eye(4) / 4,) * 2, np.array([1.5, -0.5])),
+        lambda: Ensemble(np.eye(2)[None], [1.0]),
+        lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([2.0, 0, 0, 0])),
+        lambda: ChannelSpec((0.5, 0.5, 0.5, 0.5), 0.5),
+    ],
+    ids=[
+        "apply-trace", "spectrum-trace", "shannon-sum", "shannon-stack-sum",
+        "shannon-negative", "shannon-nan", "ensemble-sum", "ensemble-negative",
+        "ensemble-shape", "state-norm", "spec-sum",
+    ],
+)
+def test_validator_messages_print_plain_numbers(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert "np." not in str(info.value)
 
 
 def test_covariant_ensemble_of_basis_state_collapses():
@@ -174,6 +209,19 @@ def test_holevo_has_the_bits_of_one_output_at_a_time():
         stacked = Ensemble(np.stack(ens.states), ens.priors)
         assert np.array_equal(as_tuple.average_input(), stacked.average_input())
         assert holevo_chi(spec, as_tuple) == holevo_chi(spec, stacked)
+
+
+def test_holevo_has_the_bits_of_the_row_formula():
+    # The stacked Shannon pass gives chi the bits of the per-row formula on
+    # each output spectrum, summed p_k * S_k in member order.
+    rng = np.random.default_rng(76)
+    for k, spec in enumerate(mixed_channels(rng, 120)):
+        state = two_qubit_capacity(spec).state if k % 2 else random_pure_state(rng)
+        ens = covariant_ensemble(state)
+        outputs = apply(spec, np.concatenate((ens.average_input()[None], ens.states)))
+        entropies = [shannon_row_oracle(s) for s in hermitian_eigenvalues(outputs)]
+        members = sum(p * s for p, s in zip(ens.priors, entropies[1:]))
+        assert holevo_chi(spec, ens) == entropies[0] - members
 
 
 def test_capacity_perfect_memory_bell():

@@ -1,7 +1,11 @@
 """Eigenvalues and entropies, checked against a characteristic-polynomial oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimem.channel import apply, preset_symmetric
 from paulimem.pauli import pauli_pair
@@ -10,7 +14,7 @@ from paulimem.spectral import (
     shannon_entropy_bits,
     von_neumann_entropy_bits,
 )
-from util import random_density_matrix, random_hermitian
+from util import random_density_matrix, random_hermitian, shannon_row_oracle
 
 # Output entropy of the Bell state through the symmetric channel with
 # p = 0.3, mu = 0.5 (spectrum 0.63, 0.13, 0.12, 0.12), frozen from an
@@ -94,6 +98,99 @@ def test_shannon_rejects_bad_input():
         shannon_entropy_bits([0.7, 0.4, -0.1, 0.0])
     with pytest.raises(ValueError):
         shannon_entropy_bits([0.3, 0.3, 0.3, 0.3])
+
+
+def test_shannon_vector_gives_a_float_and_a_stack_an_array():
+    assert type(shannon_entropy_bits([0.5, 0.5, 0.0, 0.0])) is float
+    entropies = shannon_entropy_bits([[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.25] * 4])
+    assert isinstance(entropies, np.ndarray) and entropies.shape == (3,)
+    assert entropies.tolist() == [1.0, 0.0, 2.0]
+
+
+def test_shannon_two_dimensional_input_means_rows():
+    # A 2-D input is a stack of distributions, one per row, not one flattened distribution.
+    assert shannon_entropy_bits([[0.5, 0.5], [0.25, 0.75]]).tolist() == [
+        shannon_row_oracle([0.5, 0.5]), shannon_row_oracle([0.25, 0.75])
+    ]
+    with pytest.raises(ValueError, match=r"^row 0: probabilities sum to 0\.5, not 1$"):
+        shannon_entropy_bits([[0.25, 0.25], [0.25, 0.25]])
+
+
+def probability_rows(rng, n: int, k: int) -> np.ndarray:
+    """Rows with zeros, dust in [-DUST_TOL, 0) and 1.0 among their entries."""
+    rows = rng.dirichlet(np.full(k, 0.5), size=n)
+    rows[rng.uniform(size=(n, k)) < 0.3] = 0.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[: n // 8] = np.eye(k)[rng.integers(k, size=n // 8)]
+    dust = (rows == 0.0) & (rng.uniform(size=(n, k)) < 0.3)
+    rows[dust] = -rng.uniform(0.0, 1e-9 / k, size=dust.sum())
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+def test_shannon_stack_rows_have_the_bits_of_the_row_formula(k):
+    rows = probability_rows(np.random.default_rng(30 + k), 400, k)
+    entropies = shannon_entropy_bits(rows)
+    assert entropies.shape == (len(rows),)
+    assert entropies.tolist() == [shannon_row_oracle(row) for row in rows]
+    assert [shannon_entropy_bits(row) for row in rows] == entropies.tolist()
+
+
+ENTRY = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.floats(-1e-9, 0.0, exclude_max=True),
+    st.floats(1e-300, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.lists(ENTRY, min_size=4, max_size=4), min_size=1, max_size=6))
+def test_shannon_stack_property_over_zeros_dust_and_ones(raw):
+    # Scale each row's positive part so the row sums to one: a row without
+    # positive entries becomes a point mass next to its dust, and a point
+    # mass beside dust exceeds 1.0, which the clamp takes back to 1.0.
+    rows = np.array(raw)
+    positive = np.where(rows > 0.0, rows, 0.0)
+    dust = rows - positive
+    empty = positive.sum(axis=1) == 0.0
+    positive[empty, 0], dust[empty, 0] = 1.0, 0.0
+    rows = dust + positive * ((1.0 - dust.sum(axis=1)) / positive.sum(axis=1))[:, None]
+    entropies = shannon_entropy_bits(rows)
+    for row, entropy in zip(rows, entropies.tolist()):
+        oracle = shannon_row_oracle(row)
+        assert entropy == oracle and math.copysign(1.0, entropy) == math.copysign(1.0, oracle)
+        assert 0.0 <= entropy <= 2.0 + 1e-12
+    # A row whose one positive entry is 1.0 or more, beside zeros or dust,
+    # has entropy +0.0, never -0.0.
+    point_mass = ((rows > 0.0).sum(axis=1) == 1) & (rows.max(axis=1) >= 1.0)
+    for entropy in entropies[point_mass].tolist():
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ([math.nan, 0.5, 0.5, 0.0], "^probabilities must be finite$"),
+        ([math.inf, 0.0, 0.0, 0.0], "^probabilities must be finite$"),
+        ([-math.inf, 1.0, 0.0, 0.0], "^probabilities must be finite$"),
+        ([[0.25] * 4, [0.5, 0.5, 0, 0], [0.5, math.nan, 0, 0.5], [math.inf] * 4],
+         "^row 2: probabilities must be finite$"),
+        ([[0.25] * 4, [0.6, 0.6, -0.2, 0.0]], r"^row 1: negative probability -2\.000e-01"),
+        ([[0.25] * 4, [0.25] * 4, [0.3] * 4], r"^row 2: probabilities sum to 1\.2, not 1$"),
+    ],
+    ids=["nan", "inf", "minus-inf", "stack-nan", "stack-negative", "stack-sum"],
+)
+def test_shannon_names_what_is_wrong_and_the_first_bad_row(p, message):
+    with pytest.raises(ValueError, match=message):
+        shannon_entropy_bits(p)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 4), (3, 0), (2, 2, 4)])
+def test_shannon_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="probability vector or"):
+        shannon_entropy_bits(np.full(shape, 0.25))
 
 
 def test_von_neumann_pure_projector():

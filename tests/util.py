@@ -1,7 +1,9 @@
-"""Shared random generators (all explicitly seeded) and candidate inputs for the test suite."""
+"""Shared random generators (all explicitly seeded), candidate inputs and the
+per-row Shannon oracle for the test suite."""
 
 import numpy as np
 
+from paulimem.channel import ChannelSpec, preset_symmetric
 from paulimem.checks import random_pure_state, random_spec  # noqa: F401
 
 _S = 1 / np.sqrt(2)
@@ -24,3 +26,31 @@ def random_density_matrix(rng) -> np.ndarray:
 def random_hermitian(rng) -> np.ndarray:
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return 0.5 * (g + g.conj().T)
+
+
+def mixed_channels(rng, n: int) -> list[ChannelSpec]:
+    """``n`` channels in turn from three sources: a symmetric-family point,
+    every other one exactly on the threshold ``mu = |4p - 1|``, and
+    channels with Dirichlet(1) and Dirichlet(0.3) weights."""
+    specs = []
+    for k in range(n):
+        if k % 3 == 0:
+            p = float(rng.uniform(0.0, 0.5))
+            mu = abs(4.0 * p - 1.0) if k % 2 == 0 else float(rng.uniform())
+            specs.append(preset_symmetric(p, mu))
+        else:
+            q = rng.dirichlet(np.full(4, 1.0 if k % 3 == 1 else 0.3))
+            specs.append(ChannelSpec(tuple(q / q.sum()), float(rng.uniform())))
+    return specs
+
+
+def shannon_row_oracle(p) -> float:
+    """Shannon entropy in bits of one probability vector, one row at a time.
+
+    The per-row formula the stacked kernel replaced: clamp, drop the zero
+    entries and sum the nonzero terms in order.  The stacked kernel must
+    give each row exactly these bits.
+    """
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    nz = p[p > 0.0]
+    return float(-(nz * np.log2(nz)).sum()) + 0.0  # +0.0 turns -0.0 into 0.0
