@@ -17,12 +17,9 @@ import numpy as np
 
 from .channel import _BELL, _CANDIDATES, ChannelSpec, apply, candidate_entropies
 from .pauli import _PAIR_STACK
-from .search import MOEMethod, SearchConfig, _require_unit_norm, minimize_output_entropy
-from .spectral import von_neumann_entropy_bits
+from .search import MOEMethod, SearchConfig, minimize_output_entropy
+from .spectral import require_unit_norm, require_weights, von_neumann_entropy_bits
 from .symmetric import BOUNDARY_TOL, Regime
-
-#: Ensemble priors must sum to one within this tolerance.
-PRIOR_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +38,7 @@ class Ensemble:
             )
         if len(states) != priors.size:
             raise ValueError(f"{len(states)} states but {priors.size} priors")
-        if not priors.min() >= 0.0:
-            raise ValueError(f"priors must be nonnegative, got min {float(priors.min())!r}")
-        if not abs(priors.sum() - 1.0) <= PRIOR_SUM_TOL:
-            raise ValueError(f"priors must sum to 1, got {float(priors.sum())!r}")
+        require_weights(priors, "priors")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
 
@@ -75,7 +69,7 @@ def covariant_ensemble(state) -> Ensemble:
     state the 16 projectors collapse onto the four basis projectors,
     for a Bell state onto the four Bell projectors.
     """
-    state = _require_unit_norm(state)
+    state = require_unit_norm(state)
     rotated = _PAIR_STACK @ state
     projectors = rotated[:, :, None] * rotated[:, None, :].conj()
     return Ensemble(projectors, np.full(16, 1.0 / 16.0))

@@ -21,16 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import _PAIR_STACK, pauli_pair, validate_pauli_index
-from .spectral import shannon_entropy_bits
-
-#: Channel weights must sum to one within this tolerance.
-WEIGHT_SUM_TOL = 1e-12
-
-#: Density matrices must be Hermitian and unit-trace within this tolerance.
-DENSITY_TOL = 1e-10
-
-#: Smallest admissible eigenvalue of a density matrix (roundoff allowance).
-POSITIVITY_TOL = 1e-9
+from .spectral import density_spectra, require_weights, shannon_entropy_bits
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,7 @@ class ChannelSpec:
         q = tuple(float(x) for x in self.q)
         if len(q) != 4:
             raise ValueError(f"q must have 4 entries, got {len(q)}")
-        if not all(x >= 0.0 for x in q):
-            raise ValueError(f"q entries must be nonnegative, got {q}")
-        if not abs(sum(q) - 1.0) <= WEIGHT_SUM_TOL:
-            raise ValueError(f"q must sum to 1, got sum {sum(q)!r}")
+        require_weights(q, "q")
         mu = float(self.mu)
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
@@ -143,31 +131,6 @@ _PERM = np.abs(_PAIR_STACK).argmax(axis=-1)
 _PHASE = np.take_along_axis(_PAIR_STACK, _PERM[..., None], axis=-1)[..., 0]
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as ndarray.
-
-    ``rho`` is one 4x4 matrix or an ``(n, 4, 4)`` stack of them.  Every
-    member is checked, the positivity of all of them with one batched
-    ``eigvalsh``, and a single bad member rejects the stack.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
-        raise ValueError(
-            f"expected a 4x4 density matrix or an (n, 4, 4) stack, got shape {rho.shape}"
-        )
-    defect = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if not defect <= DENSITY_TOL:
-        raise ValueError(f"not Hermitian: ||rho - rho+||_max = {defect:.3e}")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    off = ~(np.abs(tr - 1.0) <= DENSITY_TOL)
-    if off.any():
-        raise ValueError(f"trace is {float(tr[off][0].real)!r}, not 1")
-    smallest = np.linalg.eigvalsh(rho)[..., 0].min()
-    if not smallest >= -POSITIVITY_TOL:
-        raise ValueError(f"not positive semidefinite: smallest eigenvalue {smallest:.3e}")
-    return rho
-
-
 def apply(spec: ChannelSpec, rho) -> np.ndarray:
     """Send a density matrix, or an ``(n, 4, 4)`` stack of them, through the channel.
 
@@ -176,7 +139,8 @@ def apply(spec: ChannelSpec, rho) -> np.ndarray:
     terms are summed in the fixed order ``k = 0..15``, so a member's output
     has the same bits alone and in any stack.
     """
-    rho = validate_density_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)
+    density_spectra(rho)
     weighted = np.sqrt(joint_distribution(spec)).reshape(16, 1) * _PHASE
     permuted = rho[..., _PERM[:, :, None], _PERM[:, None, :]]
     return ((weighted[:, :, None] * permuted) * weighted.conj()[:, None, :]).sum(axis=-3)

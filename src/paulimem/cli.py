@@ -52,6 +52,8 @@ def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     except ValueError:
         parser.error(f"--q weights must be numbers, got {text!r}")
     total = sum(q)
+    if not math.isfinite(total):
+        return tuple(q)  # ChannelSpec names the non-finite weight
     if not abs(total - 1.0) <= Q_RENORM_TOL:
         parser.error(
             f"--q weights sum to {total!r}; deviations above {Q_RENORM_TOL:g} "

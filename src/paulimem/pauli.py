@@ -30,14 +30,9 @@ _PAULI = (
     _frozen([[0, -1j], [1j, 0]]),
 )
 
-# 16 two-qubit products sigma_i (x) sigma_j, flat index 4*i + j.
-_PAIRS = tuple(
-    _frozen(np.kron(_PAULI[i], _PAULI[j])) for i in range(4) for j in range(4)
-)
-
-# Stacked (16, 4, 4) view used by vectorised channel application.
-_PAIR_STACK = np.stack(_PAIRS)
-_PAIR_STACK.flags.writeable = False
+# The 16 two-qubit products sigma_i (x) sigma_j as one (16, 4, 4) stack,
+# flat index 4*i + j.
+_PAIR_STACK = _frozen([np.kron(_PAULI[i], _PAULI[j]) for i in range(4) for j in range(4)])
 
 
 def validate_pauli_index(i: int) -> int:
@@ -54,5 +49,5 @@ def pauli_matrix(i: int) -> np.ndarray:
 
 def pauli_pair(i: int, j: int) -> np.ndarray:
     """``sigma_i (x) sigma_j`` as a fresh 4x4 array."""
-    return _PAIRS[4 * validate_pauli_index(i) + validate_pauli_index(j)].copy()
+    return _PAIR_STACK[4 * validate_pauli_index(i) + validate_pauli_index(j)].copy()
 

@@ -30,10 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .channel import ChannelSpec, apply, candidate_entropies, kraus_operators
-from .spectral import von_neumann_entropy_bits
-
-#: Pure states must be normalized within this tolerance.
-NORM_TOL = 1e-12
+from .spectral import require_unit_norm, von_neumann_entropy_bits
 
 #: Most restarts one search takes; their simplices descend in one batch.
 MAX_RESTARTS = 10_000
@@ -126,19 +123,9 @@ def _pure_states(angles: np.ndarray) -> np.ndarray:
     return states
 
 
-def _require_unit_norm(state) -> np.ndarray:
-    state = np.asarray(state, dtype=complex).ravel()
-    if state.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {state.shape}")
-    norm = np.linalg.norm(state)
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state norm is {float(norm)!r}, not 1")
-    return state
-
-
 def output_entropy(spec: ChannelSpec, state) -> float:
     """Output entropy in bits of a pure input state."""
-    state = _require_unit_norm(state)
+    state = require_unit_norm(state)
     return von_neumann_entropy_bits(apply(spec, np.outer(state, state.conj())))
 
 
@@ -314,7 +301,7 @@ def schmidt_coefficients(state) -> np.ndarray:
     ``(1, 0)`` for product states, ``(1/sqrt2, 1/sqrt2)`` for maximally
     entangled ones.
     """
-    state = _require_unit_norm(state)
+    state = require_unit_norm(state)
     return np.linalg.svd(state.reshape(2, 2), compute_uv=False)
 
 

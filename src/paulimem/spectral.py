@@ -1,13 +1,19 @@
-"""Eigenvalues of 4x4 Hermitian matrices, alone or stacked, and entropy functionals in bits."""
+"""Eigenvalues of 4x4 Hermitian matrices, alone or stacked, entropy functionals
+in bits, and the one check of each input: a two-qubit state, a pure state
+and a set of weights (channel weights or ensemble priors).
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 #: Bound on ||M - M+||_max accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
 
-#: Eigenvalue dust in [-DUST_TOL, 0) is clamped to zero before the log.
+#: Eigenvalue dust in [-DUST_TOL, 0) is clamped to zero before the log;
+#: a density matrix may have no eigenvalue below -DUST_TOL.
 DUST_TOL = 1e-9
 
 #: Probability vectors must sum to one within this tolerance.
@@ -15,6 +21,35 @@ PROB_SUM_TOL = 1e-9
 
 #: Density-matrix spectra must sum to one within this tolerance.
 TRACE_TOL = 1e-10
+
+#: Pure states must be normalized within this tolerance.
+NORM_TOL = 1e-12
+
+#: Channel weights and ensemble priors must sum to one within this tolerance.
+WEIGHT_SUM_TOL = 1e-12
+
+
+def _require(ok: np.ndarray, member: str | None, message: str, values=None) -> None:
+    """Raise ValueError unless all of ``ok`` holds, naming the first failing entry.
+
+    ``message`` is formatted with that entry of ``values``; where ``member``
+    names the entries of a stack, it is prefixed ``"<member> k: "``.
+    """
+    k = int(ok.argmin())  # the first False, or 0 where all hold
+    if not ok[k]:
+        text = message.format(None if values is None else float(values[k]))
+        raise ValueError(f"{member} {k}: {text}" if member else text)
+
+
+def _eigenvalues(m, what: str) -> np.ndarray:
+    """Shape and Hermitian checks, then one ``eigvalsh``, of a 4x4 ``what`` or a stack."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4) or m.size == 0:
+        raise ValueError(f"expected a 4x4 {what} or a nonempty (n, 4, 4) stack, got {m.shape}")
+    defects = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(-1, 16).max(axis=1)
+    message = what + " is not Hermitian: ||M - M+||_max = {:.3e}"
+    _require(defects <= HERMITIAN_TOL, "member" if m.ndim == 3 else None, message, defects)
+    return np.linalg.eigvalsh(m)[..., ::-1].copy()
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -25,13 +60,51 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     bits it has alone.  Raises ValueError for any other shape, an empty
     stack or a non-Hermitian member.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4) or m.size == 0:
-        raise ValueError(f"expected a 4x4 matrix or a nonempty (n, 4, 4) stack, got {m.shape}")
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
-    if not defect <= HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: ||M - M+||_max = {defect:.3e}")
-    return np.linalg.eigvalsh(m)[..., ::-1].copy()
+    return _eigenvalues(m, "matrix")
+
+
+def density_spectra(rho) -> np.ndarray:
+    """Spectra of a two-qubit density matrix or of each member of a
+    nonempty ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
+
+    The one check of a two-qubit state: Hermitian within HERMITIAN_TOL, no
+    eigenvalue below -DUST_TOL and a spectrum that sums to one within
+    TRACE_TOL.  NaN fails every check; the message names the first bad
+    member of a stack.
+    """
+    spectra = _eigenvalues(rho, "density matrix")
+    rows = spectra.reshape(-1, 4)
+    member = "member" if spectra.ndim == 2 else None
+    message = "not positive semidefinite: smallest eigenvalue {:.3e}"
+    _require(rows[:, -1] >= -DUST_TOL, member, message, rows[:, -1])
+    traces = rows.sum(axis=1)
+    _require(np.abs(traces - 1.0) <= TRACE_TOL, member, "trace is {!r}, not 1", traces)
+    return spectra
+
+
+def require_unit_norm(state) -> np.ndarray:
+    """Four amplitudes as a complex vector, checked to have unit norm within NORM_TOL."""
+    state = np.asarray(state, dtype=complex).ravel()
+    if state.shape != (4,):
+        raise ValueError(f"expected 4 amplitudes, got shape {state.shape}")
+    norm = np.linalg.norm(state)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state norm is {float(norm)!r}, not 1")
+    return state
+
+
+def require_weights(weights, name: str) -> None:
+    """Check nonempty ``weights`` to be finite, then nonnegative, then to sum
+    to one within WEIGHT_SUM_TOL; ``name`` words the errors."""
+    weights = np.ravel(weights).tolist()
+    for w in weights:
+        if not math.isfinite(w):
+            raise ValueError(f"{name} must be finite, got {w!r}")
+    if not min(weights) >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got min {min(weights)!r}")
+    total = sum(weights)  # in order, and inf without a warning on overflow
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1, got sum {total!r}")
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -61,23 +134,12 @@ def shannon_entropy_bits(p) -> float | np.ndarray:
             f"expected a nonempty probability vector or (n, k) stack, got shape {p.shape}"
         )
     rows = p.reshape(-1, p.shape[-1])
-
-    def row(bad: np.ndarray) -> str:
-        return "" if p.ndim == 1 else f"row {bad.argmax()}: "
-
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{row(bad)}probabilities must be finite")
+    row = "row" if p.ndim == 2 else None
+    _require(np.isfinite(rows).all(axis=1), row, "probabilities must be finite")
     smallest = rows.min(axis=1)
-    bad = smallest < -DUST_TOL
-    if bad.any():
-        raise ValueError(
-            f"{row(bad)}negative probability {smallest[bad.argmax()]:.3e} beyond tolerance"
-        )
+    _require(smallest >= -DUST_TOL, row, "negative probability {:.3e} beyond tolerance", smallest)
     totals = rows.sum(axis=1)
-    bad = np.abs(totals - 1.0) > PROB_SUM_TOL
-    if bad.any():
-        raise ValueError(f"{row(bad)}probabilities sum to {float(totals[bad.argmax()])!r}, not 1")
+    _require(np.abs(totals - 1.0) <= PROB_SUM_TOL, row, "probabilities sum to {!r}, not 1", totals)
     entropies = _row_entropies(rows)
     return float(entropies[0]) if p.ndim == 1 else entropies
 
@@ -87,18 +149,9 @@ def von_neumann_entropy_bits(rho) -> float | np.ndarray:
 
     Equals the Shannon entropy of the spectrum; range [0, 2].  A 4x4
     ``rho`` gives a float and an ``(n, 4, 4)`` stack an ``(n,)`` array,
-    from one ``hermitian_eigenvalues`` call and one pass of the Shannon
-    kernel; the first member that is not positive or of unit trace
-    rejects the stack.
+    from one ``density_spectra`` call, which checks every member, and
+    one pass of the Shannon kernel.
     """
-    spectra = hermitian_eigenvalues(rho)
-    rows = spectra.reshape(-1, 4)
-    negative = rows[rows[:, -1] < -DUST_TOL, -1]
-    if negative.size:
-        raise ValueError(f"not positive semidefinite: smallest eigenvalue {negative[0]:.3e}")
-    traces = rows.sum(axis=1)
-    off = traces[np.abs(traces - 1.0) > TRACE_TOL]
-    if off.size:
-        raise ValueError(f"trace is {float(off[0])!r}, not 1")
-    entropies = _row_entropies(rows)
+    spectra = density_spectra(rho)
+    entropies = _row_entropies(spectra.reshape(-1, 4))
     return float(entropies[0]) if spectra.ndim == 1 else entropies

@@ -194,10 +194,7 @@ def threshold(p: float) -> float:
     Delta comparison yields; for ``p < 1/4`` the signed expression would
     be negative and wrongly favor entanglement in the memoryless limit.
     """
-    p = float(p)
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"p must lie in [0, 1/2], got {p}")
-    return abs(4.0 * p - 1.0)
+    return abs(SymmetricParams(p, 0.0).eta)
 
 
 def capacity_symmetric(p: float, mu: float) -> float:

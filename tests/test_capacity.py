@@ -53,6 +53,8 @@ def test_ensemble_validation():
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="^1 states but 0 priors$"):
+        Ensemble(np.eye(4)[None] / 4, [])
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 2), (0, 4, 4), (4, 4), (2, 4, 4, 1), (2, 4, 3)])
@@ -67,21 +69,24 @@ NAN_MATRIX = np.full((4, 4), NAN)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: ChannelSpec((NAN, 0.5, 0.25, 0.25), 0.5),
-        lambda: ChannelSpec((0.25, 0.25, 0.25, 0.25), NAN),
-        lambda: SearchConfig(entropy_tolerance=NAN),
-        lambda: SearchConfig(entropy_tolerance=np.inf),
-        lambda: SearchConfig(seed=-1),
-        lambda: SearchConfig(restarts=2.5),
-        lambda: SearchConfig(max_iterations=2.5),
-        lambda: SearchConfig(restarts=12, seed=1.5),
-        lambda: Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([NAN, 1.0])),
-        lambda: shannon_entropy_bits([NAN, 1.0]),
-        lambda: hermitian_eigenvalues(NAN_MATRIX),
-        lambda: apply(preset_symmetric(0.3, 0.5), NAN_MATRIX),
-        lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([NAN, 0, 0, 0])),
+        (lambda: ChannelSpec((NAN, 0.5, 0.25, 0.25), 0.5), "^q must be finite, got nan$"),
+        (lambda: ChannelSpec((0.25, 0.25, 0.25, 0.25), NAN), None),
+        (lambda: SearchConfig(entropy_tolerance=NAN), None),
+        (lambda: SearchConfig(entropy_tolerance=np.inf), None),
+        (lambda: SearchConfig(seed=-1), None),
+        (lambda: SearchConfig(restarts=2.5), None),
+        (lambda: SearchConfig(max_iterations=2.5), None),
+        (lambda: SearchConfig(restarts=12, seed=1.5), None),
+        (
+            lambda: Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([NAN, 1.0])),
+            "^priors must be finite, got nan$",
+        ),
+        (lambda: shannon_entropy_bits([NAN, 1.0]), None),
+        (lambda: hermitian_eigenvalues(NAN_MATRIX), None),
+        (lambda: apply(preset_symmetric(0.3, 0.5), NAN_MATRIX), None),
+        (lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([NAN, 0, 0, 0])), None),
     ],
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
@@ -89,8 +94,8 @@ NAN_MATRIX = np.full((4, 4), NAN)
         "config-seed-float", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
     ],
 )
-def test_invalid_input_raises_value_error(call):
-    with pytest.raises(ValueError) as info:
+def test_invalid_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message) as info:
         call()
     # LinAlgError is a ValueError too: the input check, not the solver, must reject it.
     assert info.type is ValueError

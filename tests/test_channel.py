@@ -133,7 +133,7 @@ def test_apply_rejects_invalid_state():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         apply(spec, bad)  # not Hermitian
-    for shape in [(3, 4), (2, 2, 4, 4)]:
+    for shape in [(3, 4), (2, 2, 4, 4), (0, 4, 4)]:
         with pytest.raises(ValueError, match="expected a 4x4 density matrix"):
             apply(spec, np.zeros(shape))
     # The covariance helpers take one matrix, not a stack.

@@ -409,6 +409,10 @@ def test_argument_errors_exit_2(tmp_path):
     assert errors["verify --seed -1"] == (
         "paulimem verify: error: seed must be a nonnegative integer, got -1"
     )
+    # A non-finite weight is named as such, not as a bad sum.
+    assert errors["capacity --q nan,0.5,0.25,0.25 --mu 0.3"] == (
+        "paulimem capacity: error: q must be finite, got nan"
+    )
 
 
 SWEEP_MU = ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "3"]

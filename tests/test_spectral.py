@@ -290,6 +290,33 @@ def test_one_bad_member_rejects_the_stack(bad, message):
             hermitian_eigenvalues(stack)
 
 
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        (np.diag([0.5, 0.3, 0.2 + 2e-10, 0.0]), "trace is"),
+        (np.diag([0.5, 0.3, 0.2 + 2e-9, -2e-9]), "not positive semidefinite"),
+        (np.diag([0.5, 0.3, 0.2, 0.0]) + np.eye(4, k=1) * 2e-10, "not Hermitian"),
+        (np.diag([0.25, 0.25, np.nan, 0.25]), "not Hermitian"),
+        (np.diag([0.5, 0.3, 0.2 + 5e-11, 0.0]), None),
+        (np.diag([0.5, 0.3, 0.2 + 5e-10, -5e-10]), None),
+    ],
+    ids=["trace", "negative", "hermitian", "nan", "trace-within-tol", "negative-within-tol"],
+)
+def test_apply_and_entropy_share_one_state_check(member, message):
+    stack = with_member(density_stack(np.random.default_rng(31), 5), 3, member)
+    calls = (von_neumann_entropy_bits, lambda s: apply(preset_symmetric(0.3, 0.5), s))
+    if message is None:
+        for call in calls:
+            call(stack)
+        return
+    errors = []
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^member 3: .*{message}") as info:
+            call(stack)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
 def test_stack_reports_its_first_bad_member():
     stack = density_stack(np.random.default_rng(29), 5)
     stack = with_member(stack, 1, np.diag([0.6, 0.3, 0.2, -0.1]))
