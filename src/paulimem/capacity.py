@@ -11,14 +11,24 @@ four candidate inputs of ``channel``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _BELL, _CANDIDATES, ChannelSpec, apply, candidate_entropies
+from .channel import (
+    _BELL,
+    _CANDIDATES,
+    ChannelSpec,
+    _apply_stack,
+    _candidate_entropies,
+    _joint_weights,
+    apply,  # noqa: F401  perfbench's tracer test reads capacity.apply
+    candidate_entropies,
+)
 from .pauli import _PAIR_STACK
 from .search import MOEMethod, SearchConfig, minimize_output_entropy
-from .spectral import require_unit_norm, require_weights, von_neumann_entropy_bits
+from .spectral import density_spectra, require_unit_norm, require_weights, von_neumann_entropy_bits
 from .symmetric import BOUNDARY_TOL, Regime
 
 
@@ -36,6 +46,8 @@ class Ensemble:
             raise ValueError(
                 f"states must be a nonempty (n, 4, 4) stack, got shape {states.shape}"
             )
+        if priors.ndim != 1:
+            raise ValueError(f"priors must be a 1-D array, got shape {priors.shape}")
         if len(states) != priors.size:
             raise ValueError(f"{len(states)} states but {priors.size} priors")
         require_weights(priors, "priors")
@@ -44,8 +56,13 @@ class Ensemble:
 
     def average_input(self) -> np.ndarray:
         """Prior-weighted average of the input states, added in member order."""
-        weighted = self.priors[:, None, None] * self.states
-        return np.add.reduce(weighted, axis=0, initial=0.0)
+        return _average(self.priors, self.states)
+
+
+def _average(priors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Prior-weighted average over the member axis, ``(..., n)`` priors and
+    ``(..., n, 4, 4)`` states, added in member order."""
+    return np.add.reduce(priors[..., None, None] * states, axis=-3, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,27 +93,40 @@ def covariant_ensemble(state) -> Ensemble:
 
 
 def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
-    """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits.
+    """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits, through
+    the same stacked pass as every closed-form capacity."""
+    weights = _joint_weights((spec,))
+    return float(_holevo_chis(weights, ensemble.priors[None], ensemble.states[None])[0])
 
-    The average input and every member go through the channel in one
-    stacked ``apply``, which checks each of them, and one stacked
-    ``von_neumann_entropy_bits`` takes all their entropies; the terms
-    ``p_i S_i`` are summed one by one in member order.
+
+def _holevo_chis(weights: np.ndarray, priors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Holevo quantity of ensemble ``c`` through channel ``c``, for ``(n, 16)``
+    weights, ``(n, m)`` priors and ``(n, m, 4, 4)`` states.
+
+    Every average input and member is checked by one ``density_spectra``
+    and goes through the channel in one stacked pass, one stacked
+    ``von_neumann_entropy_bits`` takes all outputs' entropies, and the
+    terms ``p_i S_i`` are added one member column at a time, in member order.
     """
-    outputs = apply(spec, np.concatenate((ensemble.average_input()[None], ensemble.states)))
-    entropies = von_neumann_entropy_bits(outputs)
-    return entropies[0] - sum(prob * s for prob, s in zip(ensemble.priors, entropies[1:]))
+    inputs = np.concatenate((_average(priors, states)[:, None], states), axis=1)
+    n, m = inputs.shape[:2]
+    density_spectra(inputs.reshape(n * m, 4, 4))
+    outputs = _apply_stack(weights, inputs)
+    entropies = von_neumann_entropy_bits(outputs.reshape(n * m, 4, 4)).reshape(n, m)
+    # accumulate adds one member at a time, in member order; a sum would pair them.
+    held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
+    return entropies[:, 0] - held
 
 
-def _candidate_optimum(spec: ChannelSpec) -> tuple[np.ndarray, float, Regime]:
-    """Best of the four candidate inputs: its state, ``s_min`` and the regime.
+def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
+    """Best of the four candidate inputs, given their entropies: its index,
+    ``s_min`` and the regime.
 
     ``s_min`` is the smallest of the four entropies.  An axis that beats
     the Bell state is Product, a Bell state that beats every axis is
     Entangled, and a tie within BOUNDARY_TOL is Boundary, with the Bell
     state reported as the representative.
     """
-    entropies = candidate_entropies(spec)
     axis = min(range(_BELL), key=entropies.__getitem__)
     margin = entropies[axis] - entropies[_BELL]
     if abs(margin) <= BOUNDARY_TOL:
@@ -105,7 +135,44 @@ def _candidate_optimum(spec: ChannelSpec) -> tuple[np.ndarray, float, Regime]:
         winner, regime = _BELL, Regime.ENTANGLED
     else:
         winner, regime = axis, Regime.PRODUCT
-    return _CANDIDATES[winner][0].copy(), min(entropies), regime
+    return winner, min(entropies), regime
+
+
+#: Channels per stacked pass of ``_closed_form``, which holds one block at a time.
+_BLOCK = 16
+
+
+def _closed_form(specs) -> Iterator[CapacityResult]:
+    """Closed-form capacity of each channel of the sequence ``specs``, in order.
+
+    The channels go through in blocks of _BLOCK: one pass takes their
+    candidate entropies, and one Holevo pass the covariant ensembles of
+    their best candidates.  A channel's result has the same bits in any
+    block.
+    """
+    for start in range(0, len(specs), _BLOCK):
+        weights = _joint_weights(specs[start : start + _BLOCK])
+        optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
+        states = [_CANDIDATES[winner][0].copy() for winner, _, _ in optima]
+        ensembles = [covariant_ensemble(state) for state in states]
+        chis = _holevo_chis(
+            weights,
+            np.array([e.priors for e in ensembles]),
+            np.array([e.states for e in ensembles]),
+        )
+        for chi, (_, s_min, regime), ensemble, state in zip(
+            chis.tolist(), optima, ensembles, states
+        ):
+            yield CapacityResult(
+                chi_bits=chi,
+                s_min_bits=s_min,
+                ensemble=ensemble,
+                saturation_gap=abs(chi - (2.0 - s_min)),
+                state=state,
+                regime=regime,
+                method=MOEMethod.ANALYTIC_CLOSED_FORM,
+                converged=True,
+            )
 
 
 def two_qubit_capacity(
@@ -124,22 +191,19 @@ def two_qubit_capacity(
     The saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for
     every Pauli memory channel regardless of route.
     """
-    state, s_min, regime = _candidate_optimum(spec)
-    method, converged = MOEMethod.ANALYTIC_CLOSED_FORM, True
-    if force_numeric:
-        result = minimize_output_entropy(spec, config)
-        state, s_min = result.state, result.entropy_bits
-        method, converged = result.method, result.converged
-
-    ensemble = covariant_ensemble(state)
+    if not force_numeric:
+        return next(_closed_form((spec,)))
+    _, _, regime = _candidate_optimum(candidate_entropies(spec))
+    result = minimize_output_entropy(spec, config)
+    ensemble = covariant_ensemble(result.state)
     chi = holevo_chi(spec, ensemble)
     return CapacityResult(
         chi_bits=chi,
-        s_min_bits=s_min,
+        s_min_bits=result.entropy_bits,
         ensemble=ensemble,
-        saturation_gap=abs(chi - (2.0 - s_min)),
-        state=state,
+        saturation_gap=abs(chi - (2.0 - result.entropy_bits)),
+        state=result.state,
         regime=regime,
-        method=method,
-        converged=converged,
+        method=result.method,
+        converged=result.converged,
     )

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import _PAIR_STACK, pauli_pair, validate_pauli_index
-from .spectral import density_spectra, require_weights, shannon_entropy_bits
+from .spectral import (
+    density_spectra,
+    require_memory_factor,
+    require_symmetric_weight,
+    require_weights,
+    shannon_entropy_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -36,11 +42,8 @@ class ChannelSpec:
         if len(q) != 4:
             raise ValueError(f"q must have 4 entries, got {len(q)}")
         require_weights(q, "q")
-        mu = float(self.mu)
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"mu must lie in [0, 1], got {mu}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", require_memory_factor(self.mu))
 
 
 def preset_symmetric(p: float, mu: float) -> ChannelSpec:
@@ -49,9 +52,7 @@ def preset_symmetric(p: float, mu: float) -> ChannelSpec:
     Requires ``0 <= p <= 1/2``; this is the family with a closed-form
     optimal input and memory threshold.
     """
-    p = float(p)
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"symmetric-family weight p must lie in [0, 1/2], got {p}")
+    p = require_symmetric_weight(p)
     return ChannelSpec((p, p, 0.5 - p, 0.5 - p), mu)
 
 
@@ -69,8 +70,18 @@ def joint_distribution(spec: ChannelSpec) -> np.ndarray:
 
     Rows marginalize to ``q_i`` and columns to ``q_j``.
     """
-    q = np.asarray(spec.q, dtype=float)
-    return (1.0 - spec.mu) * np.outer(q, q) + spec.mu * np.diag(q)
+    return _joint_weights((spec,)).reshape(4, 4)
+
+
+_EYE = np.eye(4)
+
+
+def _joint_weights(specs) -> np.ndarray:
+    """Joint weights of each channel, one ``(16,)`` row ``p[4*i + j]`` per spec."""
+    params = np.array([(*spec.q, spec.mu) for spec in specs])
+    q, mu = params[:, :4, None], params[:, 4:, None]
+    joint = (1.0 - mu) * (q * q.swapaxes(1, 2)) + mu * (q * _EYE)
+    return joint.reshape(-1, 16)
 
 
 def kraus_operators(spec: ChannelSpec) -> np.ndarray:
@@ -108,21 +119,31 @@ _CANDIDATES = (
 )
 _BELL = len(_CANDIDATES) - 1
 
-#: Every candidate's labels in one array, candidate ``c``'s offset by ``4c``.
+#: Every candidate's labels in one array, candidate ``c``'s offset by ``4c``,
+#: and the Pauli pair that each label is the output of.
 _STACKED_LABELS = np.concatenate([labels + 4 * c for c, (_, labels) in enumerate(_CANDIDATES)])
+_STACKED_PAIRS = np.tile(np.arange(16), len(_CANDIDATES))
 
 
 def candidate_entropies(spec: ChannelSpec) -> list[float]:
-    """Output entropies in bits of the Z, X and Y axis candidates and the Bell state.
+    """Output entropies in bits of the Z, X and Y axis candidates and the Bell state."""
+    return _candidate_entropies(_joint_weights((spec,)))[0].tolist()
+
+
+def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
+    """The four candidate entropies of each channel of an ``(n, 16)`` weight stack.
 
     A candidate's output is diagonal in the states the 16 Pauli pairs send
     it to, so its spectrum is the joint weights summed by label.  One
-    ``bincount``, which adds in input order, builds the four spectra, and
-    one Shannon pass takes their entropies.
+    ``bincount``, which adds in input order, builds the 4n spectra, and
+    one Shannon pass takes their entropies: shape ``(n, 4)``.
     """
-    weights = np.tile(joint_distribution(spec).ravel(), len(_CANDIDATES))
-    spectra = np.bincount(_STACKED_LABELS, weights, minlength=4 * len(_CANDIDATES))
-    return shannon_entropy_bits(spectra.reshape(-1, 4)).tolist()
+    width = 4 * len(_CANDIDATES)
+    labels = _STACKED_LABELS + width * np.arange(len(weights))[:, None]
+    spectra = np.bincount(
+        labels.ravel(), weights[:, _STACKED_PAIRS].ravel(), minlength=width * len(weights)
+    )
+    return shannon_entropy_bits(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
 
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero
@@ -132,18 +153,27 @@ _PHASE = np.take_along_axis(_PAIR_STACK, _PERM[..., None], axis=-1)[..., 0]
 
 
 def apply(spec: ChannelSpec, rho) -> np.ndarray:
-    """Send a density matrix, or an ``(n, 4, 4)`` stack of them, through the channel.
+    """Send a density matrix, or an ``(n, 4, 4)`` stack of them, through the channel."""
+    rho = np.asarray(rho, dtype=complex)
+    density_spectra(rho)
+    return _apply_stack(_joint_weights((spec,)), rho.reshape(1, -1, 4, 4)).reshape(rho.shape)
+
+
+def _apply_stack(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Send the ``m`` checked inputs ``rho[c]`` through channel ``c``, for an
+    ``(n, 16)`` weight stack and an ``(n, m, 4, 4)`` input stack.
 
     The Kraus term ``K_k rho K_k+`` is ``rho[..., perm_k(a), perm_k(d)]``
     scaled by ``sqrt(p_k) ph_k(a)`` and ``sqrt(p_k) conj(ph_k(d))``; the 16
     terms are summed in the fixed order ``k = 0..15``, so a member's output
     has the same bits alone and in any stack.
     """
-    rho = np.asarray(rho, dtype=complex)
-    density_spectra(rho)
-    weighted = np.sqrt(joint_distribution(spec)).reshape(16, 1) * _PHASE
-    permuted = rho[..., _PERM[:, :, None], _PERM[:, None, :]]
-    return ((weighted[:, :, None] * permuted) * weighted.conj()[:, None, :]).sum(axis=-3)
+    weighted = np.sqrt(weights)[:, :, None] * _PHASE
+    terms = rho[..., _PERM[:, :, None], _PERM[:, None, :]]
+    # In place: fresh temporaries of a whole block cost more than the products.
+    terms *= weighted[:, None, :, :, None]
+    terms *= weighted.conj()[:, None, :, None, :]
+    return terms.sum(axis=-3)
 
 
 def covariance_residual(spec: ChannelSpec, rho, i: int, j: int) -> float:

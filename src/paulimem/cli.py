@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from . import checks
-from .capacity import two_qubit_capacity
+from .capacity import _closed_form, two_qubit_capacity
 from .search import (
     MOEMethod,
     SearchConfig,
@@ -250,16 +250,23 @@ def _run_sweep(args, parser) -> int:
     if not lo <= hi:
         parser.error(f"the sweep range needs min <= max, got [{lo}, {hi}]")
     with _usage_errors(parser):
-        _search_config(args, args.seed)  # the base seed, before point_seed derives from it
-        jobs = []
-        for index, v in enumerate(np.linspace(lo, hi, args.steps)):
+        _search_config(args, args.seed)  # the base seed, before --numeric points derive theirs
+        params, specs = [], []
+        for v in np.linspace(lo, hi, args.steps):
             point_param, point_mu = (float(v), mu) if args.sweep_param else (param, float(v))
-            cfg = _search_config(args, checks.point_seed(args.seed, index))
-            jobs.append((point_param, build(point_param, point_mu), cfg))
+            params.append(point_param)
+            specs.append(build(point_param, point_mu))
 
+    if args.numeric:
+        seeds = (checks.point_seed(args.seed, index) for index in range(len(specs)))
+        results = (
+            two_qubit_capacity(spec, _search_config(args, seed), force_numeric=True)
+            for spec, seed in zip(specs, seeds)
+        )
+    else:
+        results = _closed_form(specs)
     rows, converged = [], True
-    for point_param, spec, cfg in jobs:
-        result = two_qubit_capacity(spec, cfg, force_numeric=args.numeric)
+    for point_param, spec, result in zip(params, specs, results):
         rows.append(
             [("family", family), ("param", point_param), ("mu", spec.mu)]
             + _capacity_pairs(result, args)

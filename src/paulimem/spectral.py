@@ -1,6 +1,7 @@
 """Eigenvalues of 4x4 Hermitian matrices, alone or stacked, entropy functionals
-in bits, and the one check of each input: a two-qubit state, a pure state
-and a set of weights (channel weights or ensemble priors).
+in bits, and the one check of each input: a two-qubit state, a pure state,
+a set of weights (channel weights or ensemble priors), a memory factor and
+a symmetric-family weight.
 """
 
 from __future__ import annotations
@@ -105,6 +106,22 @@ def require_weights(weights, name: str) -> None:
     total = sum(weights)  # in order, and inf without a warning on overflow
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise ValueError(f"{name} must sum to 1, got sum {total!r}")
+
+
+def require_memory_factor(mu) -> float:
+    """The memory factor ``mu`` as a float, checked to lie in [0, 1]."""
+    mu = float(mu)
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    return mu
+
+
+def require_symmetric_weight(p) -> float:
+    """The symmetric-family weight ``p`` as a float, checked to lie in [0, 1/2]."""
+    p = float(p)
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"symmetric-family weight p must lie in [0, 1/2], got {p}")
+    return p
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import shannon_entropy_bits
+from .spectral import require_memory_factor, require_symmetric_weight, shannon_entropy_bits
 
 #: Width of the Boundary band: of the best axis-Bell entropy tie in
 #: ``two_qubit_capacity``, of ``|mu - |4p - 1||`` in ``optimal_input``.
@@ -46,12 +46,8 @@ class SymmetricParams:
     big_c: float = field(init=False)
 
     def __post_init__(self):
-        p = float(self.p)
-        mu = float(self.mu)
-        if not 0.0 <= p <= 0.5:
-            raise ValueError(f"p must lie in [0, 1/2], got {p}")
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"mu must lie in [0, 1], got {mu}")
+        p = require_symmetric_weight(self.p)
+        mu = require_memory_factor(self.mu)
         eta = 4.0 * p - 1.0
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "mu", mu)

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulimem import checks
+from paulimem import capacity, checks
 from paulimem.capacity import (
     Ensemble,
+    _closed_form,
     covariant_ensemble,
     holevo_chi,
     two_qubit_capacity,
@@ -55,6 +56,12 @@ def test_ensemble_validation():
         Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([1.5, -0.5]))
     with pytest.raises(ValueError, match="^1 states but 0 priors$"):
         Ensemble(np.eye(4)[None] / 4, [])
+
+
+def test_ensemble_requires_one_dimensional_priors():
+    message = re.escape("priors must be a 1-D array, got shape (2, 1)")
+    with pytest.raises(ValueError, match=message):
+        Ensemble(np.stack([np.eye(4) / 4] * 2), [[0.5], [0.5]])
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 2), (0, 4, 4), (4, 4), (2, 4, 4, 1), (2, 4, 3)])
@@ -373,3 +380,46 @@ def test_default_capacity_is_the_four_candidate_minimum(q, mu):
     # output_entropy goes through the dense channel, which shares no code with the closed form.
     dense = min(output_entropy(spec, v) for v in CANDIDATES.values())
     assert abs(result.s_min_bits - dense) <= 1e-12
+
+
+def _stack_channels(rng, n: int) -> list[ChannelSpec]:
+    """``n`` channels in turn: Dirichlet(1) and Dirichlet(0.3) weights, and
+    symmetric points on ``mu = |4p - 1|`` and within 1e-9 of it."""
+    specs = []
+    for k in range(n):
+        if k % 4 < 2:
+            q = rng.dirichlet(np.full(4, 1.0 if k % 4 == 0 else 0.3))
+            specs.append(ChannelSpec(tuple(q / q.sum()), float(rng.uniform())))
+        else:
+            p = float(rng.uniform(0.0, 0.5))
+            offset = 0.0 if k % 4 == 2 else float(rng.uniform(-1e-9, 1e-9))
+            specs.append(preset_symmetric(p, min(1.0, max(0.0, abs(4.0 * p - 1.0) + offset))))
+    return specs
+
+
+def _bits(result) -> tuple:
+    return (
+        result.chi_bits.hex(), result.s_min_bits.hex(), result.saturation_gap.hex(),
+        result.regime, result.state.tobytes(), result.ensemble.states.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, capacity._BLOCK + 1, 3 * capacity._BLOCK + 5])
+def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
+    specs = _stack_channels(np.random.default_rng(100 + n), n)
+    stacked = list(_closed_form(specs))
+    assert len(stacked) == n
+    for spec, result in zip(specs, stacked):
+        assert _bits(result) == _bits(two_qubit_capacity(spec))
+        # The public Holevo quantity goes through the same stacked kernel.
+        assert holevo_chi(spec, result.ensemble).hex() == result.chi_bits.hex()
+    regimes = {result.regime for result in stacked}
+    assert n < 4 or regimes == {Regime.PRODUCT, Regime.ENTANGLED, Regime.BOUNDARY}
+
+
+def test_closed_form_results_own_their_arrays():
+    first, second = _closed_form([preset_symmetric(0.3, 0.5)] * 2)
+    first.state[:] = 0.0
+    first.ensemble.states[:] = 0.0
+    assert np.abs(second.state).max() > 0.0 and np.abs(second.ensemble.states).max() > 0.0
+    assert np.abs(two_qubit_capacity(preset_symmetric(0.3, 0.5)).state).max() > 0.0

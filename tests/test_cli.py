@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimem import checks, cli
+from paulimem.capacity import two_qubit_capacity
+from paulimem.channel import ChannelSpec
 from paulimem.cli import main
 
 
@@ -349,7 +351,8 @@ def _unreachable(*args, **kwargs):
 
 #: The CLI's computations, to be patched to fail if a rejected argv reaches one.
 COMPUTATIONS = dict.fromkeys(
-    ("two_qubit_capacity", "minimize_output_entropy", "crossing_mu"), _unreachable
+    ("two_qubit_capacity", "_closed_form", "minimize_output_entropy", "crossing_mu"),
+    _unreachable,
 )
 UNREACHABLE_CHECKS = tuple((name, _unreachable, tol) for name, _, tol in checks.CHECKS)
 
@@ -671,6 +674,32 @@ def test_sweep_json_round_trip(tmp_path):
     point = json.loads(text)
     assert code == 0 and point["state"]
     assert {key: point[key] for key in payload[0]} == payload[0]
+
+
+def test_closed_form_sweep_has_the_bytes_of_single_points():
+    # The X-optimal channel's regime switches at mu = 0.7979798..., between grid points.
+    code, text, err = run_captured(
+        ["sweep-mu", "--q", "0.5,0.05,0.4,0.05", "--steps", "101", "--json"]
+    )
+    assert (code, err) == (0, "")
+    weights = [0.5, 0.05, 0.4, 0.05]
+    q = tuple(w / sum(weights) for w in weights)
+    rows = []
+    for mu in np.linspace(0.0, 1.0, 101):
+        result = two_qubit_capacity(ChannelSpec(q, float(mu)))
+        rows.append({
+            "family": "Custom", "param": None, "mu": float(mu),
+            "s_min_bits": result.s_min_bits, "capacity_bits": result.chi_bits,
+            "regime": result.regime.value, "method": "Analytic",
+        })
+    assert text == json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    regimes = [row["regime"] for row in rows]
+    assert regimes == ["Product"] * 80 + ["Entangled"] * 21
+
+
+def test_closed_form_sweep_derives_no_search_seed(tmp_path):
+    with mock.patch.object(checks, "point_seed", _unreachable):
+        assert run_cli(SWEEP_MU + ["--out", str(tmp_path / "sweep.csv")]) == 0
 
 
 def test_custom_sweep_has_nan_param(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from paulimem.channel import apply, preset_symmetric
+from paulimem.channel import ChannelSpec, apply, preset_symmetric
 from paulimem.pauli import pauli_pair
 from paulimem.spectral import hermitian_eigenvalues, shannon_entropy_bits
 from paulimem.symmetric import (
@@ -44,6 +44,22 @@ def test_params_derived_constants():
         SymmetricParams(0.6, 0.5)
     with pytest.raises(ValueError):
         SymmetricParams(0.3, 1.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [preset_symmetric, capacity_symmetric, SymmetricParams],
+    ids=["preset", "capacity", "params"],
+)
+def test_symmetric_weight_and_mu_have_one_check_and_one_message(call):
+    bad_p = r"^symmetric-family weight p must lie in \[0, 1/2\], got 0\.6$"
+    bad_mu = r"^mu must lie in \[0, 1\], got 1\.5$"
+    with pytest.raises(ValueError, match=bad_p):
+        call(0.6, 0.5)
+    with pytest.raises(ValueError, match=bad_mu):
+        call(0.3, 1.5)
+    with pytest.raises(ValueError, match=bad_mu):
+        ChannelSpec((0.25, 0.25, 0.25, 0.25), 1.5)
 
 
 def test_ansatz_state_validation():
