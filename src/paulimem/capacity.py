@@ -6,7 +6,8 @@ entropy.  The Holevo quantity of that ensemble therefore equals
 ``2 - S(E(rho))``; built on a minimal-output-entropy state it attains
 the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
 family included, takes that state from one closed form: the best of the
-four candidate inputs of ``channel``.
+four candidate inputs of ``channel``, whose Holevo inputs are built and
+checked once, at import; ``holevo_chi`` checks a caller's ensemble.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .channel import (
     apply,  # noqa: F401  perfbench's tracer test reads capacity.apply
     candidate_entropies,
 )
-from .pauli import _PAIR_STACK
+from .pauli import _PAIR_STACK, _frozen
 from .search import MOEMethod, SearchConfig, minimize_output_entropy
 from .spectral import density_spectra, require_unit_norm, require_weights, von_neumann_entropy_bits
 from .symmetric import BOUNDARY_TOL, Regime
@@ -56,13 +57,7 @@ class Ensemble:
 
     def average_input(self) -> np.ndarray:
         """Prior-weighted average of the input states, added in member order."""
-        return _average(self.priors, self.states)
-
-
-def _average(priors: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Prior-weighted average over the member axis, ``(..., n)`` priors and
-    ``(..., n, 4, 4)`` states, added in member order."""
-    return np.add.reduce(priors[..., None, None] * states, axis=-3, initial=0.0)
+        return np.add.reduce(self.priors[:, None, None] * self.states, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,23 +89,28 @@ def covariant_ensemble(state) -> Ensemble:
 
 def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits, through
-    the same stacked pass as every closed-form capacity."""
+    the same stacked pass as every closed-form capacity; the error names the
+    first member of ``ensemble.states`` that is not a two-qubit state."""
     weights = _joint_weights((spec,))
-    return float(_holevo_chis(weights, ensemble.priors[None], ensemble.states[None])[0])
+    return float(_holevo_chis(weights, ensemble.priors, _holevo_inputs(ensemble)[None])[0])
 
 
-def _holevo_chis(weights: np.ndarray, priors: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Holevo quantity of ensemble ``c`` through channel ``c``, for ``(n, 16)``
-    weights, ``(n, m)`` priors and ``(n, m, 4, 4)`` states.
+def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
+    """The ``(m + 1, 4, 4)`` stack of the average input and the ``m`` members,
+    which one ``density_spectra`` checks; their average is then a state."""
+    density_spectra(ensemble.states)
+    return np.concatenate((ensemble.average_input()[None], ensemble.states))
 
-    Every average input and member is checked by one ``density_spectra``
-    and goes through the channel in one stacked pass, one stacked
-    ``von_neumann_entropy_bits`` takes all outputs' entropies, and the
-    terms ``p_i S_i`` are added one member column at a time, in member order.
+
+def _holevo_chis(weights: np.ndarray, priors: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Holevo quantity of ``_holevo_inputs`` stack ``c`` through channel ``c``,
+    for ``(n, 16)`` weights, ``(m,)`` priors and ``(n, m + 1, 4, 4)`` inputs.
+
+    One stacked pass of the channels, one ``von_neumann_entropy_bits``,
+    which checks every output, and the terms ``p_i S_i`` added one member
+    column at a time, in member order.
     """
-    inputs = np.concatenate((_average(priors, states)[:, None], states), axis=1)
     n, m = inputs.shape[:2]
-    density_spectra(inputs.reshape(n * m, 4, 4))
     outputs = _apply_stack(weights, inputs)
     entropies = von_neumann_entropy_bits(outputs.reshape(n * m, 4, 4)).reshape(n, m)
     # accumulate adds one member at a time, in member order; a sum would pair them.
@@ -141,32 +141,32 @@ def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
 #: Channels per stacked pass of ``_closed_form``, which holds one block at a time.
 _BLOCK = 16
 
+#: ``_holevo_inputs`` of each candidate's covariant ensemble, ``(4, 17, 4, 4)``,
+#: checked once here, and the uniform priors of those ensembles.
+_CANDIDATE_INPUTS = _frozen([_holevo_inputs(covariant_ensemble(c[0])) for c in _CANDIDATES])
+_UNIFORM_PRIORS = np.full(16, 1.0 / 16.0)
+_UNIFORM_PRIORS.flags.writeable = False
+
 
 def _closed_form(specs) -> Iterator[CapacityResult]:
     """Closed-form capacity of each channel of the sequence ``specs``, in order.
 
     The channels go through in blocks of _BLOCK: one pass takes their
-    candidate entropies, and one Holevo pass the covariant ensembles of
-    their best candidates.  A channel's result has the same bits in any
-    block.
+    candidate entropies, and one Holevo pass sends each channel its best
+    candidate's inputs from _CANDIDATE_INPUTS.  A channel's result has the
+    same bits in any block, and its own fresh state and ensemble.
     """
     for start in range(0, len(specs), _BLOCK):
         weights = _joint_weights(specs[start : start + _BLOCK])
         optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
-        states = [_CANDIDATES[winner][0].copy() for winner, _, _ in optima]
-        ensembles = [covariant_ensemble(state) for state in states]
-        chis = _holevo_chis(
-            weights,
-            np.array([e.priors for e in ensembles]),
-            np.array([e.states for e in ensembles]),
-        )
-        for chi, (_, s_min, regime), ensemble, state in zip(
-            chis.tolist(), optima, ensembles, states
-        ):
+        inputs = _CANDIDATE_INPUTS[[winner for winner, _, _ in optima]]
+        chis = _holevo_chis(weights, _UNIFORM_PRIORS, inputs)
+        for chi, (winner, s_min, regime) in zip(chis.tolist(), optima):
+            state = _CANDIDATES[winner][0].copy()
             yield CapacityResult(
                 chi_bits=chi,
                 s_min_bits=s_min,
-                ensemble=ensemble,
+                ensemble=covariant_ensemble(state),
                 saturation_gap=abs(chi - (2.0 - s_min)),
                 state=state,
                 regime=regime,

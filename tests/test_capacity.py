@@ -19,6 +19,7 @@ from paulimem.capacity import (
     two_qubit_capacity,
 )
 from paulimem.channel import (
+    _CANDIDATES,
     ChannelSpec,
     apply,
     preset_depolarizing,
@@ -73,6 +74,7 @@ def test_ensemble_requires_a_nonempty_stack_of_4x4_states(shape):
 
 NAN = float("nan")
 NAN_MATRIX = np.full((4, 4), NAN)
+NOT_PSD = (np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize(
@@ -94,11 +96,18 @@ NAN_MATRIX = np.full((4, 4), NAN)
         (lambda: hermitian_eigenvalues(NAN_MATRIX), None),
         (lambda: apply(preset_symmetric(0.3, 0.5), NAN_MATRIX), None),
         (lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([NAN, 0, 0, 0])), None),
+        # holevo_chi names a bad member by its own index, not by its place after the average.
+        (lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [1, 0])), "^member 1: "),
+        (
+            lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [0.5, 0.5])),
+            "^member 1: ",
+        ),
     ],
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
         "config-seed", "config-restarts-float", "config-iterations-float",
         "config-seed-float", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
+        "holevo-unused-member", "holevo-mixed-member",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):
@@ -122,11 +131,14 @@ def test_invalid_input_raises_value_error(call, message):
         lambda: Ensemble(np.eye(2)[None], [1.0]),
         lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([2.0, 0, 0, 0])),
         lambda: ChannelSpec((0.5, 0.5, 0.5, 0.5), 0.5),
+        lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [1, 0])),
+        lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [0.5, 0.5])),
     ],
     ids=[
         "apply-trace", "spectrum-trace", "shannon-sum", "shannon-stack-sum",
         "shannon-negative", "shannon-nan", "ensemble-sum", "ensemble-negative",
-        "ensemble-shape", "state-norm", "spec-sum",
+        "ensemble-shape", "state-norm", "spec-sum", "holevo-unused-member",
+        "holevo-mixed-member",
     ],
 )
 def test_validator_messages_print_plain_numbers(call):
@@ -421,5 +433,34 @@ def test_closed_form_results_own_their_arrays():
     first, second = _closed_form([preset_symmetric(0.3, 0.5)] * 2)
     first.state[:] = 0.0
     first.ensemble.states[:] = 0.0
+    first.ensemble.priors[:] = 0.0
     assert np.abs(second.state).max() > 0.0 and np.abs(second.ensemble.states).max() > 0.0
+    assert np.array_equal(second.ensemble.priors, np.full(16, 1.0 / 16.0))
     assert np.abs(two_qubit_capacity(preset_symmetric(0.3, 0.5)).state).max() > 0.0
+
+
+def test_candidate_inputs_are_a_read_only_constant_of_the_covariant_ensembles():
+    inputs = capacity._CANDIDATE_INPUTS
+    assert inputs.shape == (len(_CANDIDATES), 17, 4, 4)
+    with pytest.raises(ValueError):
+        inputs[0, 0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        capacity._UNIFORM_PRIORS[0] = 0.0
+    for c, (state, _) in enumerate(_CANDIDATES):
+        expected = capacity._holevo_inputs(covariant_ensemble(state))
+        assert inputs[c].tobytes() == expected.tobytes()
+
+
+def test_a_closed_form_block_makes_one_eigvalsh_call():
+    specs = [
+        ChannelSpec((0.5, 0.4, 0.05, 0.05), 0.3),
+        ChannelSpec((0.5, 0.05, 0.4, 0.05), 0.3),
+        ChannelSpec((0.5, 0.05, 0.05, 0.4), 0.3),
+        preset_symmetric(0.3, 0.9),
+    ] * (capacity._BLOCK // 4)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        results = list(_closed_form(specs))
+    # The candidate inputs were checked at import; only the outputs are diagonalized.
+    assert eigvalsh.call_count == 1
+    winners = {result.state.tobytes() for result in results}
+    assert winners == {state.tobytes() for state, _ in _CANDIDATES}
