@@ -6,8 +6,9 @@ entropy.  The Holevo quantity of that ensemble therefore equals
 ``2 - S(E(rho))``; built on a minimal-output-entropy state it attains
 the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
 family included, takes that state from one closed form: the best of the
-four candidate inputs of ``channel``, whose Holevo inputs are built and
-checked once, at import; ``holevo_chi`` checks a caller's ensemble.
+four candidate inputs of ``channel``, whose Holevo inputs and their
+Kraus terms are built and checked once, at import; ``holevo_chi`` checks
+a caller's ensemble.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .channel import (
     _BELL,
     _CANDIDATES,
     ChannelSpec,
-    _apply_stack,
     _candidate_entropies,
     _joint_weights,
+    _kraus_terms,
+    _weigh_terms,
     apply,  # noqa: F401  perfbench's tracer test reads capacity.apply
     candidate_entropies,
 )
@@ -92,7 +94,8 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     the same stacked pass as every closed-form capacity; the error names the
     first member of ``ensemble.states`` that is not a two-qubit state."""
     weights = _joint_weights((spec,))
-    return float(_holevo_chis(weights, ensemble.priors, _holevo_inputs(ensemble)[None])[0])
+    terms = _kraus_terms(_holevo_inputs(ensemble)[None])
+    return float(_holevo_chis(weights, ensemble.priors, terms)[0])
 
 
 def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
@@ -102,16 +105,17 @@ def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
     return np.concatenate((ensemble.average_input()[None], ensemble.states))
 
 
-def _holevo_chis(weights: np.ndarray, priors: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def _holevo_chis(weights: np.ndarray, priors: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Holevo quantity of ``_holevo_inputs`` stack ``c`` through channel ``c``,
-    for ``(n, 16)`` weights, ``(m,)`` priors and ``(n, m + 1, 4, 4)`` inputs.
+    for ``(n, 16)`` weights, ``(m,)`` priors and the ``(n, m + 1, 16, 4, 4)``
+    ``_kraus_terms`` of the inputs, which it overwrites.
 
-    One stacked pass of the channels, one ``von_neumann_entropy_bits``,
+    One stacked weighing of the terms, one ``von_neumann_entropy_bits``,
     which checks every output, and the terms ``p_i S_i`` added one member
     column at a time, in member order.
     """
-    n, m = inputs.shape[:2]
-    outputs = _apply_stack(weights, inputs)
+    n, m = terms.shape[:2]
+    outputs = _weigh_terms(weights, terms)
     entropies = von_neumann_entropy_bits(outputs.reshape(n * m, 4, 4)).reshape(n, m)
     # accumulate adds one member at a time, in member order; a sum would pair them.
     held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
@@ -142,8 +146,12 @@ def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
 _BLOCK = 16
 
 #: ``_holevo_inputs`` of each candidate's covariant ensemble, ``(4, 17, 4, 4)``,
-#: checked once here, and the uniform priors of those ensembles.
+#: checked once here, their ``(4, 17, 16, 4, 4)`` Kraus terms and the uniform
+#: priors of those ensembles.
 _CANDIDATE_INPUTS = _frozen([_holevo_inputs(covariant_ensemble(c[0])) for c in _CANDIDATES])
+# Stacked per candidate, so each candidate's terms are one contiguous block,
+# in the memory order _kraus_terms gives them, and a gather copies whole blocks.
+_CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _CANDIDATE_INPUTS]))
 _UNIFORM_PRIORS = np.full(16, 1.0 / 16.0)
 _UNIFORM_PRIORS.flags.writeable = False
 
@@ -152,15 +160,21 @@ def _closed_form(specs) -> Iterator[CapacityResult]:
     """Closed-form capacity of each channel of the sequence ``specs``, in order.
 
     The channels go through in blocks of _BLOCK: one pass takes their
-    candidate entropies, and one Holevo pass sends each channel its best
-    candidate's inputs from _CANDIDATE_INPUTS.  A channel's result has the
-    same bits in any block, and its own fresh state and ensemble.
+    candidate entropies, and one Holevo pass weighs a copy of each channel's
+    best candidate's terms from _CANDIDATE_TERMS.  A channel's result has
+    the same bits in any block, and its own fresh state and ensemble.
     """
+    # Every block copies into one buffer, in the table's memory order: a fresh
+    # 1 MB array per block costs more in page faults than the copy itself.
+    shape = (min(len(specs), _BLOCK), *_CANDIDATE_TERMS.shape[1:])
+    gathered = np.empty_like(_CANDIDATE_TERMS, shape=shape)
     for start in range(0, len(specs), _BLOCK):
         weights = _joint_weights(specs[start : start + _BLOCK])
         optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
-        inputs = _CANDIDATE_INPUTS[[winner for winner, _, _ in optima]]
-        chis = _holevo_chis(weights, _UNIFORM_PRIORS, inputs)
+        terms = gathered[: len(optima)]
+        for row, (winner, _, _) in zip(terms, optima):
+            row[...] = _CANDIDATE_TERMS[winner]
+        chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms)
         for chi, (winner, s_min, regime) in zip(chis.tolist(), optima):
             state = _CANDIDATES[winner][0].copy()
             yield CapacityResult(

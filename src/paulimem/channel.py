@@ -147,32 +147,45 @@ def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
 
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero
-# entry, _PHASE[k, a], in column _PERM[k, a].
+# entry, _PHASE[k, a], in column _PERM[k, a].  The phases are exact units
+# (+-1, +-i), so _TERM_PHASE[k, a, d] = ph_k(a) conj(ph_k(d)) is exact too.
 _PERM = np.abs(_PAIR_STACK).argmax(axis=-1)
 _PHASE = np.take_along_axis(_PAIR_STACK, _PERM[..., None], axis=-1)[..., 0]
+_TERM_PHASE = _PHASE[:, :, None] * _PHASE.conj()[:, None, :]
 
 
 def apply(spec: ChannelSpec, rho) -> np.ndarray:
     """Send a density matrix, or an ``(n, 4, 4)`` stack of them, through the channel."""
     rho = np.asarray(rho, dtype=complex)
     density_spectra(rho)
-    return _apply_stack(_joint_weights((spec,)), rho.reshape(1, -1, 4, 4)).reshape(rho.shape)
+    terms = _kraus_terms(rho.reshape(1, -1, 4, 4))
+    return _weigh_terms(_joint_weights((spec,)), terms).reshape(rho.shape)
 
 
-def _apply_stack(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Send the ``m`` checked inputs ``rho[c]`` through channel ``c``, for an
-    ``(n, 16)`` weight stack and an ``(n, m, 4, 4)`` input stack.
+def _kraus_terms(rho: np.ndarray) -> np.ndarray:
+    """The 16 unweighted Kraus terms ``s_k rho s_k+`` of each checked input of
+    a ``(..., 4, 4)`` stack, as a fresh ``(..., 16, 4, 4)`` stack.
 
-    The Kraus term ``K_k rho K_k+`` is ``rho[..., perm_k(a), perm_k(d)]``
-    scaled by ``sqrt(p_k) ph_k(a)`` and ``sqrt(p_k) conj(ph_k(d))``; the 16
-    terms are summed in the fixed order ``k = 0..15``, so a member's output
-    has the same bits alone and in any stack.
+    Term ``k`` is ``rho[..., perm_k(a), perm_k(d)]`` times the exact unit
+    ``ph_k(a) conj(ph_k(d))``; it does not depend on the channel, so a
+    constant input has constant terms.
     """
-    weighted = np.sqrt(weights)[:, :, None] * _PHASE
-    terms = rho[..., _PERM[:, :, None], _PERM[:, None, :]]
+    return rho[..., _PERM[:, :, None], _PERM[:, None, :]] * _TERM_PHASE
+
+
+def _weigh_terms(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Send the ``m`` inputs behind ``terms[c]`` through channel ``c``, for an
+    ``(n, 16)`` weight stack and an ``(n, m, 16, 4, 4)`` stack of
+    ``_kraus_terms``, which it overwrites.
+
+    Each term is scaled by ``sqrt(p_k)`` twice and the 16 are summed in the
+    fixed order ``k = 0..15``, so a member's output has the same bits alone
+    and in any stack.
+    """
+    root = np.sqrt(weights)[:, None, :, None, None]
     # In place: fresh temporaries of a whole block cost more than the products.
-    terms *= weighted[:, None, :, :, None]
-    terms *= weighted.conj()[:, None, :, None, :]
+    terms *= root
+    terms *= root
     return terms.sum(axis=-3)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -381,7 +382,9 @@ def _add_common_options(sp, threads=False):
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="paulimem",
         description="Two-qubit capacity of Pauli channels with correlated noise",

@@ -21,7 +21,10 @@ from paulimem.capacity import (
 from paulimem.channel import (
     _CANDIDATES,
     ChannelSpec,
+    _joint_weights,
+    _kraus_terms,
     apply,
+    candidate_entropies,
     preset_depolarizing,
     preset_symmetric,
 )
@@ -32,7 +35,14 @@ from paulimem.spectral import (
     von_neumann_entropy_bits,
 )
 from paulimem.symmetric import Regime, SymmetricParams, capacity_symmetric, optimal_input
-from util import CANDIDATES, mixed_channels, random_pure_state, random_spec, shannon_row_oracle
+from util import (
+    CANDIDATES,
+    kraus_sum_oracle,
+    mixed_channels,
+    random_pure_state,
+    random_spec,
+    shannon_row_oracle,
+)
 
 S_MIN_045_020 = 0.916501945827340
 
@@ -394,9 +404,10 @@ def test_default_capacity_is_the_four_candidate_minimum(q, mu):
     assert abs(result.s_min_bits - dense) <= 1e-12
 
 
-def _stack_channels(rng, n: int) -> list[ChannelSpec]:
+def _stack_channels(rng, n: int, beside=lambda rng: rng.uniform(-1e-9, 1e-9)) -> list[ChannelSpec]:
     """``n`` channels in turn: Dirichlet(1) and Dirichlet(0.3) weights, and
-    symmetric points on ``mu = |4p - 1|`` and within 1e-9 of it."""
+    symmetric points on ``mu = |4p - 1|`` and ``beside(rng)`` (by default
+    within 1e-9) off it."""
     specs = []
     for k in range(n):
         if k % 4 < 2:
@@ -404,7 +415,7 @@ def _stack_channels(rng, n: int) -> list[ChannelSpec]:
             specs.append(ChannelSpec(tuple(q / q.sum()), float(rng.uniform())))
         else:
             p = float(rng.uniform(0.0, 0.5))
-            offset = 0.0 if k % 4 == 2 else float(rng.uniform(-1e-9, 1e-9))
+            offset = 0.0 if k % 4 == 2 else float(beside(rng))
             specs.append(preset_symmetric(p, min(1.0, max(0.0, abs(4.0 * p - 1.0) + offset))))
     return specs
 
@@ -449,6 +460,47 @@ def test_candidate_inputs_are_a_read_only_constant_of_the_covariant_ensembles():
     for c, (state, _) in enumerate(_CANDIDATES):
         expected = capacity._holevo_inputs(covariant_ensemble(state))
         assert inputs[c].tobytes() == expected.tobytes()
+
+
+def test_candidate_terms_are_a_read_only_constant_that_sweeps_leave_unchanged():
+    terms = capacity._CANDIDATE_TERMS
+    assert terms.shape == (len(_CANDIDATES), 17, 16, 4, 4)
+    with pytest.raises(ValueError):
+        terms[0, 0, 0, 0, 0] = 0.0
+    for c in range(len(_CANDIDATES)):
+        assert terms[c].tobytes() == _kraus_terms(capacity._CANDIDATE_INPUTS[c]).tobytes()
+    before = terms.tobytes()
+    # X-optimal below its threshold, Bell-optimal above it.
+    sweep = [ChannelSpec((0.5, 0.05, 0.4, 0.05), mu) for mu in np.linspace(0.0, 1.0, 101)]
+    regimes = {result.regime for result in _closed_form(sweep)}
+    assert {Regime.PRODUCT, Regime.ENTANGLED} <= regimes
+    # The block scaled a gathered copy of the terms in place, never the constant.
+    assert terms.tobytes() == before
+
+
+def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
+    # Symmetric points from 1e-12 to 1e-6 off the threshold.
+    specs = _stack_channels(
+        np.random.default_rng(49), 3200,
+        beside=lambda rng: rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -6),
+    )
+    results = list(_closed_form(specs))
+    winners = []
+    for spec, result in zip(specs, results):
+        winner, s_min, regime = capacity._candidate_optimum(candidate_entropies(spec))
+        assert result.state.tobytes() == _CANDIDATES[winner][0].tobytes()
+        assert (result.s_min_bits.hex(), result.regime) == (s_min.hex(), regime)
+        winners.append(winner)
+    assert set(winners) == set(range(len(_CANDIDATES)))
+    # The Holevo pass of the one-stage kernel, one block at a time.
+    for start in range(0, len(specs), capacity._BLOCK):
+        block = slice(start, start + capacity._BLOCK)
+        weights = _joint_weights(specs[block])
+        outputs = kraus_sum_oracle(weights, capacity._CANDIDATE_INPUTS[winners[block]])
+        entropies = von_neumann_entropy_bits(outputs.reshape(-1, 4, 4)).reshape(len(weights), 17)
+        held = np.add.accumulate(capacity._UNIFORM_PRIORS * entropies[:, 1:], axis=1)[:, -1]
+        for chi, result in zip((entropies[:, 0] - held).tolist(), results[block]):
+            assert result.chi_bits.hex() == chi.hex()
 
 
 def test_a_closed_form_block_makes_one_eigvalsh_call():

@@ -6,6 +6,9 @@ import pytest
 from paulimem.channel import (
     _CANDIDATES,
     ChannelSpec,
+    _joint_weights,
+    _kraus_terms,
+    _weigh_terms,
     apply,
     candidate_entropies,
     covariance_residual,
@@ -17,7 +20,13 @@ from paulimem.channel import (
 )
 from paulimem.pauli import pauli_matrix, pauli_pair
 from paulimem.spectral import hermitian_eigenvalues
-from util import mixed_channels, random_density_matrix, random_spec, shannon_row_oracle
+from util import (
+    kraus_sum_oracle,
+    mixed_channels,
+    random_density_matrix,
+    random_spec,
+    shannon_row_oracle,
+)
 
 PROJ_00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 BELL = np.zeros(4, dtype=complex)
@@ -156,6 +165,52 @@ def test_apply_stack_is_its_members():
             assert np.array_equal(member, apply(spec, rho))
             dense = sum(k @ rho @ k.conj().T for k in kraus_operators(spec))
             assert np.abs(member - dense).max() < 1e-12
+
+
+def test_two_stage_kernel_has_the_bits_of_the_one_stage_sum():
+    rng = np.random.default_rng(47)
+    for draw in range(3000):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        stack = rng.normal(size=(n, m, 4, 4)) + 1j * rng.normal(size=(n, m, 4, 4))
+        if draw % 2:
+            # Exact zeros of both signs, in the inputs and the weights.
+            stack[rng.random(stack.shape) < 0.5] = 0.0
+            stack.real[rng.random(stack.shape) < 0.25] = -0.0
+            stack.imag[rng.random(stack.shape) < 0.25] = -0.0
+            weights = rng.dirichlet(np.full(16, 0.3), size=n)
+            weights[rng.random(weights.shape) < 0.5] = 0.0
+        else:
+            weights = rng.dirichlet(np.ones(16), size=n)
+        expected = kraus_sum_oracle(weights, stack)
+        terms = _kraus_terms(stack)
+        assert terms.shape == (n, m, 16, 4, 4)
+        assert _weigh_terms(weights, terms).tobytes() == expected.tobytes()
+
+
+def _sparse_density_matrix(rng) -> np.ndarray:
+    """A pure state with some amplitudes exactly zero, as a density matrix."""
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v[rng.permutation(4)[: int(rng.integers(0, 4))]] = 0.0
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def test_apply_has_the_bits_of_the_one_stage_sum():
+    rng = np.random.default_rng(48)
+    for draw in range(3000):
+        m = int(rng.integers(1, 6))
+        if draw % 2:
+            q = rng.dirichlet(np.full(4, 0.3))
+            q[rng.random(4) < 0.4] = 0.0
+            q = q / q.sum() if q.sum() > 0.0 else np.array([1.0, 0.0, 0.0, 0.0])
+            spec = ChannelSpec(tuple(q), float(rng.choice([0.0, 1.0, rng.uniform()])))
+            stack = np.stack([_sparse_density_matrix(rng) for _ in range(m)])
+        else:
+            spec = random_spec(rng)
+            stack = np.stack([random_density_matrix(rng) for _ in range(m)])
+        expected = kraus_sum_oracle(_joint_weights((spec,)), stack[None])[0]
+        assert apply(spec, stack).tobytes() == expected.tobytes()
+        assert apply(spec, stack[0]).tobytes() == expected[0].tobytes()
 
 
 @pytest.mark.parametrize(

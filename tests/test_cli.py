@@ -236,6 +236,20 @@ def test_closed_form_stdout_is_pinned(command):
         json.loads(GOLDEN_STDOUT[command], parse_constant=_reject_constant)
 
 
+def test_one_parser_serves_every_call_in_a_process():
+    assert cli._build_parser() is cli._build_parser()
+    sweep = "sweep-mu --family symmetric --param 0.35 --steps 21"
+    first = run_captured(sweep.split())
+    assert first == (0, GOLDEN_STDOUT[sweep], "")
+    assert_usage_error(sweep.replace("--steps 21", "--steps 1").split())
+    report = "capacity --q 0.4,0.3,0.2,0.1 --mu 0.6 --json"
+    assert run_captured(report.split()) == (0, GOLDEN_STDOUT[report], "")
+    code, out, _ = run_captured(["--help"])
+    assert code == 0 and out.startswith("usage: paulimem")
+    # Neither the failure nor the other commands left state in the parser.
+    assert run_captured(sweep.split()) == first
+
+
 # The numbers the closed form and the default search (--numeric) both
 # report for two custom channels.  The searched state may move within the
 # optimal set, so its amplitudes are not pinned.

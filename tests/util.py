@@ -1,9 +1,9 @@
-"""Shared random generators (all explicitly seeded), candidate inputs and the
-per-row Shannon oracle for the test suite."""
+"""Shared random generators (all explicitly seeded), candidate inputs, the
+per-row Shannon oracle and the one-stage Kraus-sum oracle for the test suite."""
 
 import numpy as np
 
-from paulimem.channel import ChannelSpec, preset_symmetric
+from paulimem.channel import _PERM, _PHASE, ChannelSpec, preset_symmetric
 from paulimem.checks import random_pure_state, random_spec  # noqa: F401
 
 _S = 1 / np.sqrt(2)
@@ -54,3 +54,19 @@ def shannon_row_oracle(p) -> float:
     p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum()) + 0.0  # +0.0 turns -0.0 into 0.0
+
+
+def kraus_sum_oracle(weights, rho) -> np.ndarray:
+    """Outputs of the ``m`` inputs ``rho[c]`` through channel ``c`` in one stage,
+    for an ``(n, 16)`` weight stack and an ``(n, m, 4, 4)`` input stack.
+
+    The one-stage formula the two-stage kernel replaced: gather each term,
+    scale it by ``sqrt(p_k) ph_k(a)`` and then by ``sqrt(p_k) conj(ph_k(d))``
+    and sum over ``k = 0..15`` in order.  The two-stage kernel must give
+    every entry exactly these bits, signed zeros included.
+    """
+    weighted = np.sqrt(weights)[:, :, None] * _PHASE
+    terms = np.asarray(rho, dtype=complex)[..., _PERM[:, :, None], _PERM[:, None, :]]
+    terms *= weighted[:, None, :, :, None]
+    terms *= weighted.conj()[:, None, :, None, :]
+    return terms.sum(axis=-3)
