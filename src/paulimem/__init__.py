@@ -14,15 +14,13 @@ from .capacity import (
     CapacityResult,
     Ensemble,
     covariant_ensemble,
+    crossing_mu,
     holevo_chi,
     two_qubit_capacity,
 )
 from .channel import (
     ChannelSpec,
     apply,
-    covariance_residual,
-    ensemble_average_output,
-    joint_distribution,
     kraus_operators,
     preset_depolarizing,
     preset_symmetric,
@@ -32,27 +30,19 @@ from .search import (
     MOEMethod,
     MOEResult,
     SearchConfig,
-    candidate_entropy_gap,
-    crossing_mu,
     minimize_output_entropy,
     output_entropy,
     parametrize_pure_state,
     schmidt_coefficients,
 )
-from .spectral import (
-    hermitian_eigenvalues,
-    shannon_entropy_bits,
-    von_neumann_entropy_bits,
-)
+from .spectral import shannon_entropy_bits, von_neumann_entropy_bits
 from .symmetric import (
     AnsatzState,
     Regime,
     SymmetricParams,
-    ansatz_state_vector,
     capacity_symmetric,
     optimal_input,
     output_eigenvalues,
-    pauli_expansion_coefficients,
     threshold,
 )
 
@@ -68,24 +58,17 @@ __all__ = [
     "Regime",
     "SearchConfig",
     "SymmetricParams",
-    "ansatz_state_vector",
     "apply",
-    "candidate_entropy_gap",
     "capacity_symmetric",
-    "covariance_residual",
     "covariant_ensemble",
     "crossing_mu",
-    "ensemble_average_output",
-    "hermitian_eigenvalues",
     "holevo_chi",
-    "joint_distribution",
     "kraus_operators",
     "minimize_output_entropy",
     "optimal_input",
     "output_eigenvalues",
     "output_entropy",
     "parametrize_pure_state",
-    "pauli_expansion_coefficients",
     "pauli_matrix",
     "pauli_pair",
     "preset_depolarizing",

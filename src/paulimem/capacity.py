@@ -8,11 +8,14 @@ the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
 family included, takes that state from one closed form: the best of the
 four candidate inputs of ``channel``, whose Holevo inputs and their
 Kraus terms are built and checked once, at import; ``holevo_chi`` checks
-a caller's ensemble.
+a caller's ensemble.  One rule, the best axis candidate's entropy minus
+the Bell state's, sets a channel's regime and, bisected over ``mu``, its
+regime switch ``crossing_mu``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -122,6 +125,14 @@ def _holevo_chis(weights: np.ndarray, priors: np.ndarray, terms: np.ndarray) -> 
     return entropies[:, 0] - held
 
 
+def _best_axis(entropies: list[float]) -> tuple[int, float]:
+    """The axis candidate with the smallest of the four ``entropies`` and its
+    margin over the Bell state: negative where it wins, positive where the
+    Bell state does."""
+    axis = min(range(_BELL), key=entropies.__getitem__)
+    return axis, entropies[axis] - entropies[_BELL]
+
+
 def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
     """Best of the four candidate inputs, given their entropies: its index,
     ``s_min`` and the regime.
@@ -131,8 +142,7 @@ def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
     Entangled, and a tie within BOUNDARY_TOL is Boundary, with the Bell
     state reported as the representative.
     """
-    axis = min(range(_BELL), key=entropies.__getitem__)
-    margin = entropies[axis] - entropies[_BELL]
+    axis, margin = _best_axis(entropies)
     if abs(margin) <= BOUNDARY_TOL:
         winner, regime = _BELL, Regime.BOUNDARY
     elif margin > 0.0:
@@ -140,6 +150,49 @@ def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
     else:
         winner, regime = axis, Regime.PRODUCT
     return winner, min(entropies), regime
+
+
+def candidate_entropy_gap(spec: ChannelSpec) -> float:
+    """Smallest axis candidate's output entropy minus the Bell state's.
+
+    The margin that sets the regime: negative where a product eigenstate
+    of ``s_1``, ``s_2`` or ``s_3`` wins, positive where the Bell state
+    (|00>+|11>)/sqrt2 does.
+    """
+    return _best_axis(candidate_entropies(spec))[1]
+
+
+def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
+    """Memory value where the best product axis and the Bell state swap rank.
+
+    Bisects the sign of :func:`candidate_entropy_gap` over ``mu`` in
+    [0, 1] until the bracket is at most ``tol`` wide, which must be finite
+    and positive, or holds no float between its ends; ``spec_factory(mu)``
+    must build the channel.  Returns None when the gap has the same sign
+    at both ends.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    lo, hi = 0.0, 1.0
+    g_lo = candidate_entropy_gap(spec_factory(lo))
+    g_hi = candidate_entropy_gap(spec_factory(hi))
+    if g_lo == 0.0 and g_hi == 0.0:
+        return None
+    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
+        return None
+    mid = 0.5 * (lo + hi)
+    # A bracket of two adjacent floats has no midpoint inside it.
+    while hi - lo > tol and lo < mid < hi:
+        g_mid = candidate_entropy_gap(spec_factory(mid))
+        if g_mid == 0.0:
+            return mid
+        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
+            lo = mid
+            g_lo = g_mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 #: Channels per stacked pass of ``_closed_form``, which holds one block at a time.

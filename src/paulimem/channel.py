@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _PAIR_STACK, pauli_pair, validate_pauli_index
+from .pauli import _PAIR_STACK
 from .spectral import (
     density_spectra,
     require_memory_factor,
@@ -65,19 +65,14 @@ def preset_depolarizing(x: float, mu: float) -> ChannelSpec:
     return ChannelSpec((x, r, r, r), mu)
 
 
-def joint_distribution(spec: ChannelSpec) -> np.ndarray:
-    """Joint Pauli-pair weights ``p_ij = (1-mu) q_i q_j + mu q_i delta_ij``.
-
-    Rows marginalize to ``q_i`` and columns to ``q_j``.
-    """
-    return _joint_weights((spec,)).reshape(4, 4)
-
-
 _EYE = np.eye(4)
 
 
 def _joint_weights(specs) -> np.ndarray:
-    """Joint weights of each channel, one ``(16,)`` row ``p[4*i + j]`` per spec."""
+    """Joint weights of each channel, one ``(16,)`` row ``p[4*i + j]`` per spec.
+
+    As a 4x4 matrix, rows marginalize to ``q_i`` and columns to ``q_j``.
+    """
     params = np.array([(*spec.q, spec.mu) for spec in specs])
     q, mu = params[:, :4, None], params[:, 4:, None]
     joint = (1.0 - mu) * (q * q.swapaxes(1, 2)) + mu * (q * _EYE)
@@ -89,7 +84,7 @@ def kraus_operators(spec: ChannelSpec) -> np.ndarray:
 
     Returned as a fresh ``(16, 4, 4)`` stack.
     """
-    return np.sqrt(joint_distribution(spec)).reshape(16, 1, 1) * _PAIR_STACK
+    return np.sqrt(_joint_weights((spec,))).reshape(16, 1, 1) * _PAIR_STACK
 
 
 _PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
@@ -187,27 +182,3 @@ def _weigh_terms(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     terms *= root
     terms *= root
     return terms.sum(axis=-3)
-
-
-def covariance_residual(spec: ChannelSpec, rho, i: int, j: int) -> float:
-    """Max-abs defect of covariance under the rotation ``s_i (x) s_j``.
-
-    Returns ``||E(U rho U) - U E(rho) U||_max``; at most 1e-10 for every
-    Pauli memory channel (the Kraus operators commute or anticommute
-    with every Pauli pair, and the sign cancels between the two sides).
-    """
-    validate_pauli_index(i)
-    validate_pauli_index(j)
-    u = pauli_pair(i, j)
-    rotated, out = apply(spec, np.stack((u @ rho @ u, rho)))
-    return float(np.abs(rotated - u @ out @ u).max())
-
-
-def ensemble_average_output(spec: ChannelSpec, rho) -> np.ndarray:
-    """Output averaged over all 16 Pauli-pair rotations of the input.
-
-    Equals the maximally mixed state I/4 for every input, because the
-    Pauli pairs act irreducibly.
-    """
-    rotated = np.stack([u @ rho @ u for u in _PAIR_STACK])
-    return apply(spec, rotated).sum(axis=0) / 16.0

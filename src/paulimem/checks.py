@@ -1,4 +1,6 @@
-"""The invariants that ``paulimem verify`` checks, one function each.
+"""The invariants that ``paulimem verify`` checks, one function each, and
+the two channel identities only they need: covariance under a Pauli-pair
+rotation and the rotation-averaged output.
 
 A check ``check(rng, sizes, seed) -> float`` draws random channels and
 states from the shared generator ``rng``, takes grid sizes and sample
@@ -16,9 +18,9 @@ import numpy as np
 
 from . import channel as ch
 from .capacity import two_qubit_capacity
-from .pauli import pauli_matrix
+from .pauli import _PAIR_STACK, pauli_matrix, pauli_pair
 from .search import SearchConfig, minimize_output_entropy
-from .spectral import hermitian_eigenvalues
+from .spectral import density_spectra
 from .symmetric import AnsatzState, SymmetricParams, ansatz_state_vector
 from .symmetric import optimal_input, output_eigenvalues
 
@@ -50,6 +52,28 @@ def random_pure_state(rng) -> np.ndarray:
     """Pure two-qubit state with complex Gaussian amplitudes, normalized."""
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     return v / np.linalg.norm(v)
+
+
+def covariance_residual(spec: ch.ChannelSpec, rho, i: int, j: int) -> float:
+    """Max-abs defect of covariance under the rotation ``s_i (x) s_j``.
+
+    Returns ``||E(U rho U) - U E(rho) U||_max``; at most 1e-10 for every
+    Pauli memory channel (the Kraus operators commute or anticommute
+    with every Pauli pair, and the sign cancels between the two sides).
+    """
+    u = pauli_pair(i, j)
+    rotated, out = ch.apply(spec, np.stack((u @ rho @ u, rho)))
+    return float(np.abs(rotated - u @ out @ u).max())
+
+
+def ensemble_average_output(spec: ch.ChannelSpec, rho) -> np.ndarray:
+    """Output averaged over all 16 Pauli-pair rotations of the input.
+
+    Equals the maximally mixed state I/4 for every input, because the
+    Pauli pairs act irreducibly.
+    """
+    rotated = np.stack([u @ rho @ u for u in _PAIR_STACK])
+    return ch.apply(spec, rotated).sum(axis=0) / 16.0
 
 
 def _lean_config(seed: int) -> SearchConfig:
@@ -91,7 +115,7 @@ def covariance(rng, sizes, seed) -> float:
         rho = np.outer(v, v.conj())
         for i in range(4):
             for j in range(4):
-                residual = max(residual, ch.covariance_residual(spec, rho, i, j))
+                residual = max(residual, covariance_residual(spec, rho, i, j))
     return residual
 
 
@@ -102,7 +126,7 @@ def averaged_output(rng, sizes, seed) -> float:
     for _ in range(sizes["samples"]):
         spec = random_spec(rng)
         v = random_pure_state(rng)
-        avg = ch.ensemble_average_output(spec, np.outer(v, v.conj()))
+        avg = ensemble_average_output(spec, np.outer(v, v.conj()))
         residual = max(residual, np.abs(avg - eye4).max())
     return residual
 
@@ -110,7 +134,7 @@ def averaged_output(rng, sizes, seed) -> float:
 def closed_form_spectrum(rng, sizes, seed) -> float:
     """Closed-form output eigenvalues of the ansatz against dense diagonalization.
 
-    Dense: one stacked ``apply`` and ``hermitian_eigenvalues`` per ``(p, mu)`` cell.
+    Dense: one stacked ``apply`` and ``density_spectra`` per ``(p, mu)`` cell.
     """
     n_p, n_mu, n_theta, n_phi = sizes["eig_grid"]
     thetas = np.linspace(0.0, math.pi / 2, n_theta)
@@ -122,7 +146,7 @@ def closed_form_spectrum(rng, sizes, seed) -> float:
     for p in np.linspace(0.0, 0.5, n_p):
         for mu in np.linspace(0.0, 1.0, n_mu):
             params = SymmetricParams(p, mu)
-            dense = hermitian_eigenvalues(ch.apply(ch.preset_symmetric(p, mu), inputs))
+            dense = density_spectra(ch.apply(ch.preset_symmetric(p, mu), inputs))
             formula = np.array([output_eigenvalues(params, state) for state in states])
             residual = max(residual, np.abs(dense - formula).max())
     return residual

@@ -19,14 +19,8 @@ import numpy as np
 
 from . import channel as ch
 from . import checks
-from .capacity import _closed_form, two_qubit_capacity
-from .search import (
-    MOEMethod,
-    SearchConfig,
-    crossing_mu,
-    minimize_output_entropy,
-    schmidt_coefficients,
-)
+from .capacity import _closed_form, crossing_mu, two_qubit_capacity
+from .search import MOEMethod, SearchConfig, minimize_output_entropy, schmidt_coefficients
 from .symmetric import capacity_symmetric, threshold
 
 #: Custom weights are renormalized only below this deviation from 1.

@@ -4,11 +4,11 @@ This is the brute-force route to the capacity: by concavity of the von
 Neumann entropy the minimum over all inputs is attained on a pure state,
 so a multi-start derivative-free descent over a 6-angle parametrization
 of pure two-qubit states suffices.  The search shares no code with the
-closed forms and serves as their certificate: ``force_numeric`` and
-``--numeric`` run it in their place, and ``verify`` checks on random
-channels that it never ends below the four-candidate minimum.  Only the
-two threshold helpers at the end of the module read the candidate
-entropies of the closed form, to locate a channel's regime switch.
+closed form and serves as its certificate: ``force_numeric`` and
+``--numeric`` run it in its place, and ``verify`` checks on random
+channels that it never ends below the four-candidate minimum.  It reads
+the channel only through the channel kernel of ``channel``, the same
+two stages that ``apply`` takes.
 
 The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
 restart simplices in lock-step: each step scores the trial points of
@@ -29,7 +29,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .channel import ChannelSpec, apply, candidate_entropies, kraus_operators
+from .channel import ChannelSpec, _joint_weights, _kraus_terms, _weigh_terms, apply
 from .spectral import require_unit_norm, von_neumann_entropy_bits
 
 #: Most restarts one search takes; their simplices descend in one batch.
@@ -129,15 +129,26 @@ def output_entropy(spec: ChannelSpec, state) -> float:
     return von_neumann_entropy_bits(apply(spec, np.outer(state, state.conj())))
 
 
-def _entropy_objective(stack: np.ndarray):
+def _superoperator(spec: ChannelSpec) -> np.ndarray:
+    """The channel as a C-ordered 16x16 matrix on flattened inputs,
+    ``sup[(b, c), (a, d)]``: row ``4*b + c`` is the output of ``|b><c|``.
+
+    The channel kernel sends the 16 matrix units through the channel.
+    C order keeps the path, and so the bits, of the products ``rho @ sup``.
+    """
+    units = np.eye(16, dtype=complex).reshape(1, 16, 4, 4)
+    outputs = _weigh_terms(_joint_weights((spec,)), _kraus_terms(units))
+    return np.ascontiguousarray(outputs[0].reshape(16, 16))
+
+
+def _entropy_objective(spec: ChannelSpec):
     """Map (B, 6) angles to the (B,) output entropies of their pure states.
 
-    The channel is built once as a 16x16 matrix on flattened inputs,
-    ``sup[(b, c), (a, d)] = sum_k K_k[a, b] conj(K_k[d, c])``.  Each point
-    gets its own ``(1, 16) @ (16, 16)`` of a stacked product, so that its
-    value does not depend on its batch, as it may through a 2-D product.
+    Each point gets its own ``(1, 16) @ (16, 16)`` of a stacked product
+    with ``_superoperator(spec)``, so that its value does not depend on its
+    batch, as it may through a 2-D product.
     """
-    sup = np.einsum("kab,kdc->bcad", stack, stack.conj()).reshape(16, 16)
+    sup = _superoperator(spec)
 
     def objective(angles: np.ndarray) -> np.ndarray:
         v = _pure_states(angles)
@@ -268,7 +279,7 @@ def minimize_output_entropy(
     """
     if config is None:
         config = SearchConfig()
-    objective = _entropy_objective(kraus_operators(spec))
+    objective = _entropy_objective(spec)
 
     xs, fs, steps, evaluations = _nelder_mead(
         objective, _start_points(config), config.max_iterations, tight=False
@@ -303,41 +314,3 @@ def schmidt_coefficients(state) -> np.ndarray:
     """
     state = require_unit_norm(state)
     return np.linalg.svd(state.reshape(2, 2), compute_uv=False)
-
-
-def candidate_entropy_gap(spec: ChannelSpec) -> float:
-    """Smallest axis candidate's output entropy minus the Bell state's.
-
-    The margin that sets the regime: negative where a product eigenstate
-    of ``s_1``, ``s_2`` or ``s_3`` wins, positive where the Bell state
-    (|00>+|11>)/sqrt2 does.
-    """
-    *axes, bell = candidate_entropies(spec)
-    return min(axes) - bell
-
-
-def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
-    """Memory value where the best product axis and the Bell state swap rank.
-
-    Bisects the sign of :func:`candidate_entropy_gap` over ``mu`` in
-    [0, 1]; ``spec_factory(mu)`` must build the channel.  Returns None
-    when the gap has the same sign at both ends.
-    """
-    lo, hi = 0.0, 1.0
-    g_lo = candidate_entropy_gap(spec_factory(lo))
-    g_hi = candidate_entropy_gap(spec_factory(hi))
-    if g_lo == 0.0 and g_hi == 0.0:
-        return None
-    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = candidate_entropy_gap(spec_factory(mid))
-        if g_mid == 0.0:
-            return mid
-        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
-            lo = mid
-            g_lo = g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

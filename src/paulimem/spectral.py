@@ -1,5 +1,5 @@
-"""Eigenvalues of 4x4 Hermitian matrices, alone or stacked, entropy functionals
-in bits, and the one check of each input: a two-qubit state, a pure state,
+"""Spectra of two-qubit states, alone or stacked, entropy functionals in
+bits, and the one check of each input: a two-qubit state, a pure state,
 a set of weights (channel weights or ensemble priors), a memory factor and
 a symmetric-family weight.
 """
@@ -42,28 +42,6 @@ def _require(ok: np.ndarray, member: str | None, message: str, values=None) -> N
         raise ValueError(f"{member} {k}: {text}" if member else text)
 
 
-def _eigenvalues(m, what: str) -> np.ndarray:
-    """Shape and Hermitian checks, then one ``eigvalsh``, of a 4x4 ``what`` or a stack."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4) or m.size == 0:
-        raise ValueError(f"expected a 4x4 {what} or a nonempty (n, 4, 4) stack, got {m.shape}")
-    defects = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(-1, 16).max(axis=1)
-    message = what + " is not Hermitian: ||M - M+||_max = {:.3e}"
-    _require(defects <= HERMITIAN_TOL, "member" if m.ndim == 3 else None, message, defects)
-    return np.linalg.eigvalsh(m)[..., ::-1].copy()
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a 4x4 Hermitian matrix or of each member of an
-    ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
-
-    One ``eigvalsh`` takes the whole stack, and each member keeps the
-    bits it has alone.  Raises ValueError for any other shape, an empty
-    stack or a non-Hermitian member.
-    """
-    return _eigenvalues(m, "matrix")
-
-
 def density_spectra(rho) -> np.ndarray:
     """Spectra of a two-qubit density matrix or of each member of a
     nonempty ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
@@ -71,11 +49,20 @@ def density_spectra(rho) -> np.ndarray:
     The one check of a two-qubit state: Hermitian within HERMITIAN_TOL, no
     eigenvalue below -DUST_TOL and a spectrum that sums to one within
     TRACE_TOL.  NaN fails every check; the message names the first bad
-    member of a stack.
+    member of a stack.  One ``eigvalsh`` takes the whole stack, and each
+    member keeps the bits it has alone.
     """
-    spectra = _eigenvalues(rho, "density matrix")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
+        raise ValueError(
+            f"expected a 4x4 density matrix or a nonempty (n, 4, 4) stack, got {rho.shape}"
+        )
+    member = "member" if rho.ndim == 3 else None
+    defects = np.abs(rho - rho.conj().swapaxes(-1, -2)).reshape(-1, 16).max(axis=1)
+    message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
+    _require(defects <= HERMITIAN_TOL, member, message, defects)
+    spectra = np.linalg.eigvalsh(rho)[..., ::-1].copy()
     rows = spectra.reshape(-1, 4)
-    member = "member" if spectra.ndim == 2 else None
     message = "not positive semidefinite: smallest eigenvalue {:.3e}"
     _require(rows[:, -1] >= -DUST_TOL, member, message, rows[:, -1])
     traces = rows.sum(axis=1)

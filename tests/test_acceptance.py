@@ -8,23 +8,12 @@ import time
 
 import numpy as np
 
-from paulimem.capacity import two_qubit_capacity
-from paulimem.channel import (
-    ChannelSpec,
-    apply,
-    covariance_residual,
-    ensemble_average_output,
-    preset_depolarizing,
-    preset_symmetric,
-)
+from paulimem.capacity import candidate_entropy_gap, crossing_mu, two_qubit_capacity
+from paulimem.channel import ChannelSpec, apply, preset_depolarizing, preset_symmetric
+from paulimem.checks import covariance_residual, ensemble_average_output
 from paulimem.cli import main as cli_main
-from paulimem.search import (
-    SearchConfig,
-    candidate_entropy_gap,
-    crossing_mu,
-    minimize_output_entropy,
-)
-from paulimem.spectral import hermitian_eigenvalues, von_neumann_entropy_bits
+from paulimem.search import SearchConfig, minimize_output_entropy
+from paulimem.spectral import density_spectra, von_neumann_entropy_bits
 from paulimem.symmetric import (
     AnsatzState,
     SymmetricParams,
@@ -56,7 +45,7 @@ def test_criterion_1_eigenvalue_formula_oracle():
                 for phi in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
                     state = AnsatzState(theta, phi)
                     v = ansatz_state_vector(state)
-                    dense = hermitian_eigenvalues(apply(spec, np.outer(v, v.conj())))
+                    dense = density_spectra(apply(spec, np.outer(v, v.conj())))
                     formula = output_eigenvalues(params, state)
                     worst = max(worst, float(np.abs(dense - formula).max()))
     elapsed = time.perf_counter() - started

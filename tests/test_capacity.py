@@ -15,6 +15,7 @@ from paulimem.capacity import (
     Ensemble,
     _closed_form,
     covariant_ensemble,
+    crossing_mu,
     holevo_chi,
     two_qubit_capacity,
 )
@@ -29,11 +30,7 @@ from paulimem.channel import (
     preset_symmetric,
 )
 from paulimem.search import MOEMethod, SearchConfig, output_entropy
-from paulimem.spectral import (
-    hermitian_eigenvalues,
-    shannon_entropy_bits,
-    von_neumann_entropy_bits,
-)
+from paulimem.spectral import density_spectra, shannon_entropy_bits, von_neumann_entropy_bits
 from paulimem.symmetric import Regime, SymmetricParams, capacity_symmetric, optimal_input
 from util import (
     CANDIDATES,
@@ -87,6 +84,10 @@ NAN_MATRIX = np.full((4, 4), NAN)
 NOT_PSD = (np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
+def _uncalled_factory(mu):
+    raise AssertionError("crossing_mu built a channel before it checked tol")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -103,7 +104,7 @@ NOT_PSD = (np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0]))
             "^priors must be finite, got nan$",
         ),
         (lambda: shannon_entropy_bits([NAN, 1.0]), None),
-        (lambda: hermitian_eigenvalues(NAN_MATRIX), None),
+        (lambda: density_spectra(NAN_MATRIX), None),
         (lambda: apply(preset_symmetric(0.3, 0.5), NAN_MATRIX), None),
         (lambda: output_entropy(preset_symmetric(0.3, 0.5), np.array([NAN, 0, 0, 0])), None),
         # holevo_chi names a bad member by its own index, not by its place after the average.
@@ -112,12 +113,17 @@ NOT_PSD = (np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0]))
             lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [0.5, 0.5])),
             "^member 1: ",
         ),
+        (lambda: crossing_mu(_uncalled_factory, tol=0.0), "^tol must be finite and positive"),
+        (lambda: crossing_mu(_uncalled_factory, tol=-1.0), "^tol must be finite and positive"),
+        (lambda: crossing_mu(_uncalled_factory, tol=NAN), "^tol must be finite and positive"),
+        (lambda: crossing_mu(_uncalled_factory, tol=math.inf), "^tol must be finite and positive"),
     ],
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
         "config-seed", "config-restarts-float", "config-iterations-float",
         "config-seed-float", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
-        "holevo-unused-member", "holevo-mixed-member",
+        "holevo-unused-member", "holevo-mixed-member", "crossing-tol-zero",
+        "crossing-tol-negative", "crossing-tol-nan", "crossing-tol-inf",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):
@@ -253,7 +259,7 @@ def test_holevo_has_the_bits_of_the_row_formula():
         state = two_qubit_capacity(spec).state if k % 2 else random_pure_state(rng)
         ens = covariant_ensemble(state)
         outputs = apply(spec, np.concatenate((ens.average_input()[None], ens.states)))
-        entropies = [shannon_row_oracle(s) for s in hermitian_eigenvalues(outputs)]
+        entropies = [shannon_row_oracle(s) for s in density_spectra(outputs)]
         members = sum(p * s for p, s in zip(ens.priors, entropies[1:]))
         assert holevo_chi(spec, ens) == entropies[0] - members
 
@@ -516,3 +522,33 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
     assert eigvalsh.call_count == 1
     winners = {result.state.tobytes() for result in results}
     assert winners == {state.tobytes() for state, _ in _CANDIDATES}
+
+
+#: The public API, as README lists it.
+PUBLIC_NAMES = [
+    "AnsatzState", "CapacityResult", "ChannelSpec", "Ensemble", "MOEMethod", "MOEResult",
+    "Regime", "SearchConfig", "SymmetricParams", "apply", "capacity_symmetric",
+    "covariant_ensemble", "crossing_mu", "holevo_chi", "kraus_operators",
+    "minimize_output_entropy", "optimal_input", "output_eigenvalues", "output_entropy",
+    "parametrize_pure_state", "pauli_matrix", "pauli_pair", "preset_depolarizing",
+    "preset_symmetric", "schmidt_coefficients", "shannon_entropy_bits", "threshold",
+    "two_qubit_capacity", "von_neumann_entropy_bits",
+]
+
+#: Names the package no longer exports; each lives on in its module or in ``checks``.
+REMOVED_NAMES = [
+    "ansatz_state_vector", "candidate_entropy_gap", "covariance_residual",
+    "ensemble_average_output", "hermitian_eigenvalues", "joint_distribution",
+    "pauli_expansion_coefficients",
+]
+
+
+def test_public_api_is_the_documented_names():
+    import paulimem
+
+    assert len(PUBLIC_NAMES) == 29
+    assert sorted(paulimem.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(paulimem, name) is not None
+    for name in REMOVED_NAMES:
+        assert not hasattr(paulimem, name), name

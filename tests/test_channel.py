@@ -11,15 +11,13 @@ from paulimem.channel import (
     _weigh_terms,
     apply,
     candidate_entropies,
-    covariance_residual,
-    ensemble_average_output,
-    joint_distribution,
     kraus_operators,
     preset_depolarizing,
     preset_symmetric,
 )
+from paulimem.checks import covariance_residual, ensemble_average_output
 from paulimem.pauli import pauli_matrix, pauli_pair
-from paulimem.spectral import hermitian_eigenvalues
+from paulimem.spectral import density_spectra
 from util import (
     kraus_sum_oracle,
     mixed_channels,
@@ -46,14 +44,14 @@ def test_spec_validation():
 
 
 def test_joint_degenerate_weights():
-    p = joint_distribution(ChannelSpec((1.0, 0.0, 0.0, 0.0), 0.7))
+    p = _joint_weights((ChannelSpec((1.0, 0.0, 0.0, 0.0), 0.7),)).reshape(4, 4)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.abs(p - expected).max() < 1e-15
 
 
 def test_joint_direct_substitution():
-    p = joint_distribution(ChannelSpec((0.5, 0.5, 0.0, 0.0), 0.5))
+    p = _joint_weights((ChannelSpec((0.5, 0.5, 0.0, 0.0), 0.5),)).reshape(4, 4)
     assert abs(p[0, 0] - 0.375) < 1e-15
     assert abs(p[1, 1] - 0.375) < 1e-15
     assert abs(p[0, 1] - 0.125) < 1e-15
@@ -65,7 +63,7 @@ def test_joint_perfect_memory_is_diagonal():
     rng = np.random.default_rng(31)
     for _ in range(10):
         spec = ChannelSpec(random_spec(rng).q, 1.0)
-        p = joint_distribution(spec)
+        p = _joint_weights((spec,)).reshape(4, 4)
         assert np.abs(p - np.diag(spec.q)).max() < 1e-15
 
 
@@ -73,7 +71,7 @@ def test_joint_marginals():
     rng = np.random.default_rng(32)
     for _ in range(50):
         spec = random_spec(rng)
-        p = joint_distribution(spec)
+        p = _joint_weights((spec,)).reshape(4, 4)
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.abs(p.sum(axis=1) - np.asarray(spec.q)).max() < 1e-12
@@ -101,13 +99,13 @@ def test_apply_product_input_spectrum():
     # matches the closed form at theta=0).
     out = apply(preset_symmetric(0.3, 0.5), PROJ_00)
     assert np.abs(out - np.diag(np.diag(out))).max() < 1e-15
-    spectrum = hermitian_eigenvalues(out)
+    spectrum = density_spectra(out)
     assert np.abs(spectrum - np.array([0.48, 0.28, 0.12, 0.12])).max() < 1e-12
 
 
 def test_apply_bell_input_spectrum():
     out = apply(preset_symmetric(0.3, 0.5), PROJ_BELL)
-    spectrum = hermitian_eigenvalues(out)
+    spectrum = density_spectra(out)
     assert np.abs(spectrum - np.array([0.63, 0.13, 0.12, 0.12])).max() < 1e-12
 
 
@@ -119,7 +117,7 @@ def test_apply_preserves_density_invariants():
         out = apply(spec, rho)
         assert abs(out.trace() - 1.0) < 1e-12
         assert np.abs(out - out.conj().T).max() < 1e-12
-        assert hermitian_eigenvalues(out).min() > -1e-9
+        assert density_spectra(out).min() > -1e-9
 
 
 def test_apply_linear():
@@ -370,7 +368,7 @@ def test_candidate_entropies_have_the_bits_of_one_candidate_at_a_time():
     # One offset bincount and one Shannon pass give each candidate the bits
     # of its own bincount and the per-row formula.
     for spec in mixed_channels(np.random.default_rng(47), 300):
-        weights = joint_distribution(spec).ravel()
+        weights = _joint_weights((spec,))[0]
         alone = [
             shannon_row_oracle(np.bincount(labels, weights, minlength=4))
             for _, labels in _CANDIDATES

@@ -10,24 +10,18 @@ import numpy as np
 import pytest
 
 import paulimem
-from paulimem.capacity import two_qubit_capacity
-from paulimem.channel import (
-    ChannelSpec,
-    apply,
-    kraus_operators,
-    preset_depolarizing,
-    preset_symmetric,
-)
+from paulimem import search
+from paulimem.capacity import candidate_entropy_gap, crossing_mu, two_qubit_capacity
+from paulimem.channel import ChannelSpec, apply, preset_depolarizing, preset_symmetric
 from paulimem.search import (
     _entropy_objective,
     _nelder_mead,
     _pure_states,
+    _superoperator,
     _WARM_STARTS,
     _start_points,
     MOEMethod,
     SearchConfig,
-    candidate_entropy_gap,
-    crossing_mu,
     minimize_output_entropy,
     output_entropy,
     parametrize_pure_state,
@@ -35,7 +29,7 @@ from paulimem.search import (
 )
 from paulimem.spectral import von_neumann_entropy_bits
 from paulimem.symmetric import Regime, SymmetricParams, optimal_input
-from util import CANDIDATES, random_density_matrix
+from util import CANDIDATES, random_density_matrix, superoperator_oracle
 
 S_MIN_030_050 = 1.536721674438358
 S_MIN_045_020 = 0.916501945827340
@@ -197,6 +191,12 @@ def test_crossing_at_symmetric_threshold():
     assert abs(found - 0.4) < 1e-6
 
 
+def test_crossing_ends_when_no_float_lies_inside_the_bracket():
+    # tol is far below the float spacing near 0.4, so the bracket stops shrinking first.
+    found = crossing_mu(lambda mu: preset_symmetric(0.35, mu), tol=1e-300)
+    assert abs(found - 0.4) < 1e-15
+
+
 def test_crossing_none_without_sign_change():
     # x=1 is the identity channel: both candidates give zero entropy.
     assert crossing_mu(lambda mu: preset_depolarizing(1.0, mu)) is None
@@ -245,11 +245,11 @@ def test_batched_states_match_parametrize_bitwise():
 
 
 def test_objective_matches_apply_and_ignores_its_batch():
-    # The objective folds the channel into one 16x16 matrix; apply and
-    # von_neumann_entropy_bits share none of that code.
+    # The objective folds the channel into one 16x16 matrix and takes its
+    # own entropies; apply and von_neumann_entropy_bits take neither.
     angles = np.random.default_rng(64).uniform(-4, 8, size=(40, 6))
     for spec in CANDIDATE_CHANNELS.values():
-        objective = _entropy_objective(kraus_operators(spec))
+        objective = _entropy_objective(spec)
         values = objective(angles)
         reference = [output_entropy(spec, parametrize_pure_state(a)) for a in angles]
         assert np.abs(values - reference).max() <= 1e-13
@@ -260,9 +260,38 @@ def test_objective_matches_apply_and_ignores_its_batch():
                 assert np.array_equal(part, values[start : start + size]), size
 
 
+def search_matrix_channels() -> list[ChannelSpec]:
+    """3 000 seeded channels: Dirichlet weights of concentration 1, 0.3 and
+    0.15 (sparse), each with ``mu`` of 0, 1 and uniform draws."""
+    rng = np.random.default_rng(66)
+    specs = []
+    for k in range(3000):
+        q = rng.dirichlet(np.full(4, (1.0, 0.3, 0.15)[k % 3]))
+        mu = (0.0, 1.0, float(rng.uniform()))[k // 3 % 3]
+        specs.append(ChannelSpec(tuple(q / q.sum()), mu))
+    return specs
+
+
+def test_search_matrix_is_the_kernel_output_with_the_oracle_bits():
+    for spec in search_matrix_channels():
+        sup = _superoperator(spec)
+        assert sup.flags.c_contiguous
+        assert sup.tobytes() == superoperator_oracle(spec).tobytes()
+
+
+def test_objective_has_the_same_bits_from_the_oracle_matrix(monkeypatch):
+    angles = np.random.default_rng(67).uniform(-4, 8, size=(1000, 6))
+    for spec in search_matrix_channels()[::15]:
+        values = _entropy_objective(spec)(angles)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_superoperator", superoperator_oracle)
+            oracle_values = _entropy_objective(spec)(angles)
+        assert values.tobytes() == oracle_values.tobytes()
+
+
 def test_each_restart_descends_alone_as_in_the_batch():
     spec = ChannelSpec((0.45, 0.25, 0.2, 0.1), 0.35)
-    objective = _entropy_objective(kraus_operators(spec))
+    objective = _entropy_objective(spec)
     starts = _start_points(SearchConfig(restarts=14, seed=5))
     xs, fs, steps, evaluations = _nelder_mead(objective, starts, 2000, tight=False)
     alone_steps = alone_evaluations = 0
@@ -294,7 +323,7 @@ def test_restarts_follow_scipy_nelder_mead():
     options = {"maxiter": cfg.max_iterations, "xatol": 1e-6, "fatol": 1e-10}
 
     # Same objective: every restart takes scipy's steps and ends on its point.
-    objective = _entropy_objective(kraus_operators(spec))
+    objective = _entropy_objective(spec)
     xs, fs, _, _ = _nelder_mead(objective, starts, cfg.max_iterations, tight=False)
     for x0, x, f in zip(starts, xs, fs):
         ref = minimize(lambda a: objective(a[None])[0], x0, method="Nelder-Mead", options=options)

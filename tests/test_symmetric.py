@@ -7,7 +7,7 @@ import pytest
 
 from paulimem.channel import ChannelSpec, apply, preset_symmetric
 from paulimem.pauli import pauli_pair
-from paulimem.spectral import hermitian_eigenvalues, shannon_entropy_bits
+from paulimem.spectral import density_spectra, shannon_entropy_bits
 from paulimem.symmetric import (
     AnsatzState,
     Regime,
@@ -130,7 +130,7 @@ def test_output_eigenvalues_match_dense_diagonalization():
                 for phi in grid_phi:
                     state = AnsatzState(theta, phi)
                     v = ansatz_state_vector(state)
-                    dense = hermitian_eigenvalues(apply(spec, np.outer(v, v.conj())))
+                    dense = density_spectra(apply(spec, np.outer(v, v.conj())))
                     assert np.abs(dense - output_eigenvalues(params, state)).max() < 1e-9
 
 

@@ -1,9 +1,10 @@
 """Shared random generators (all explicitly seeded), candidate inputs, the
-per-row Shannon oracle and the one-stage Kraus-sum oracle for the test suite."""
+per-row Shannon oracle, the one-stage Kraus-sum oracle and the einsum
+superoperator oracle for the test suite."""
 
 import numpy as np
 
-from paulimem.channel import _PERM, _PHASE, ChannelSpec, preset_symmetric
+from paulimem.channel import _PERM, _PHASE, ChannelSpec, kraus_operators, preset_symmetric
 from paulimem.checks import random_pure_state, random_spec  # noqa: F401
 
 _S = 1 / np.sqrt(2)
@@ -21,11 +22,6 @@ def random_density_matrix(rng) -> np.ndarray:
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return rho / rho.trace().real
-
-
-def random_hermitian(rng) -> np.ndarray:
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return 0.5 * (g + g.conj().T)
 
 
 def mixed_channels(rng, n: int) -> list[ChannelSpec]:
@@ -70,3 +66,14 @@ def kraus_sum_oracle(weights, rho) -> np.ndarray:
     terms *= weighted[:, None, :, :, None]
     terms *= weighted.conj()[:, None, :, None, :]
     return terms.sum(axis=-3)
+
+
+def superoperator_oracle(spec: ChannelSpec) -> np.ndarray:
+    """The channel as a 16x16 matrix on flattened inputs, from its Kraus operators,
+    ``sup[(b, c), (a, d)] = sum_k K_k[a, b] conj(K_k[d, c])``.
+
+    The einsum the search used before it took its matrix from the channel
+    kernel.  The search's matrix must have exactly these bits.
+    """
+    stack = kraus_operators(spec)
+    return np.einsum("kab,kdc->bcad", stack, stack.conj()).reshape(16, 16)
