@@ -7,10 +7,12 @@ entropy.  The Holevo quantity of that ensemble therefore equals
 the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
 family included, takes that state from one closed form: the best of the
 four candidate inputs of ``channel``, whose Holevo inputs and their
-Kraus terms are built and checked once, at import; ``holevo_chi`` checks
-a caller's ensemble.  One rule, the best axis candidate's entropy minus
-the Bell state's, sets a channel's regime and, bisected over ``mu``, its
-regime switch ``crossing_mu``.
+Kraus terms are built and checked once, at import.  The closed form
+weighs and diagonalizes the output of each byte-distinct input once and
+reuses it for every byte-equal member; ``holevo_chi`` checks a caller's
+ensemble and stays dense over every member's output.  One rule, the best
+axis candidate's entropy minus the Bell state's, sets a channel's regime
+and, bisected over ``mu``, its regime switch ``crossing_mu``.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     the same stacked pass as every closed-form capacity; the error names the
     first member of ``ensemble.states`` that is not a two-qubit state."""
     weights = _joint_weights((spec,))
-    terms = _kraus_terms(_holevo_inputs(ensemble)[None])
-    return float(_holevo_chis(weights, ensemble.priors, terms)[0])
+    inputs = _holevo_inputs(ensemble)
+    rows = np.arange(len(inputs))[None]
+    return float(_holevo_chis(weights, ensemble.priors, _kraus_terms(inputs[None]), rows)[0])
 
 
 def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
@@ -108,18 +111,22 @@ def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
     return np.concatenate((ensemble.average_input()[None], ensemble.states))
 
 
-def _holevo_chis(weights: np.ndarray, priors: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _holevo_chis(
+    weights: np.ndarray, priors: np.ndarray, terms: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
     """Holevo quantity of ``_holevo_inputs`` stack ``c`` through channel ``c``,
-    for ``(n, 16)`` weights, ``(m,)`` priors and the ``(n, m + 1, 16, 4, 4)``
-    ``_kraus_terms`` of the inputs, which it overwrites.
+    for ``(n, 16)`` weights, ``(m,)`` priors, the ``(n, d, 16, 4, 4)``
+    ``_kraus_terms`` of ``d`` inputs, which it overwrites, and the ``(n, m + 1)``
+    index ``rows`` of each row of stack ``c`` among channel ``c``'s ``d`` inputs.
 
     One stacked weighing of the terms, one ``von_neumann_entropy_bits``,
-    which checks every output, and the terms ``p_i S_i`` added one member
-    column at a time, in member order.
+    which checks every output, a gather of each row's entropy, and the
+    terms ``p_i S_i`` added one member column at a time, in member order.
     """
-    n, m = terms.shape[:2]
+    n, d = terms.shape[:2]
     outputs = _weigh_terms(weights, terms)
-    entropies = von_neumann_entropy_bits(outputs.reshape(n * m, 4, 4)).reshape(n, m)
+    entropies = von_neumann_entropy_bits(outputs.reshape(n * d, 4, 4)).reshape(n, d)
+    entropies = np.take_along_axis(entropies, rows, axis=1)
     # accumulate adds one member at a time, in member order; a sum would pair them.
     held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
     return entropies[:, 0] - held
@@ -195,18 +202,37 @@ def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
     return mid
 
 
+def _distinct_inputs(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: each stack's byte-distinct rows in first-seen order, padded
+    with its first row to one width, and the index of every row among them."""
+    indices = []
+    for stack in stacks:
+        seen: dict[bytes, int] = {}
+        indices.append([seen.setdefault(row.tobytes(), len(seen)) for row in stack])
+    width = max(map(max, indices)) + 1
+    firsts = [[index.index(i) if i in index else 0 for i in range(width)] for index in indices]
+    rows = np.array(indices)
+    rows.flags.writeable = False
+    return _frozen(stacks[np.arange(len(stacks))[:, None], firsts]), rows
+
+
 #: Channels per stacked pass of ``_closed_form``, which holds one block at a time.
 _BLOCK = 16
 
 #: ``_holevo_inputs`` of each candidate's covariant ensemble, ``(4, 17, 4, 4)``,
-#: checked once here, their ``(4, 17, 16, 4, 4)`` Kraus terms and the uniform
-#: priors of those ensembles.
+#: checked once here, and the uniform priors of those ensembles.
 _CANDIDATE_INPUTS = _frozen([_holevo_inputs(covariant_ensemble(c[0])) for c in _CANDIDATES])
-# Stacked per candidate, so each candidate's terms are one contiguous block,
-# in the memory order _kraus_terms gives them, and a gather copies whole blocks.
-_CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _CANDIDATE_INPUTS]))
 _UNIFORM_PRIORS = np.full(16, 1.0 / 16.0)
 _UNIFORM_PRIORS.flags.writeable = False
+#: Each candidate's byte-distinct Holevo inputs, the average first, ``(4, 10, 4, 4)``
+#: (the axis candidates have 6, padded with the average); ``_DISTINCT_ROWS[c, i]``
+#: is the index of ``_CANDIDATE_INPUTS[c, i]`` among them, and ``_CANDIDATE_TERMS``
+#: their ``(4, 10, 16, 4, 4)`` Kraus terms.  Byte-equal inputs have byte-equal
+#: outputs, so the closed form weighs and diagonalizes each distinct one once.
+_DISTINCT_INPUTS, _DISTINCT_ROWS = _distinct_inputs(_CANDIDATE_INPUTS)
+# Stacked per candidate, so each candidate's terms are one contiguous block,
+# in the memory order _kraus_terms gives them, and a gather copies whole blocks.
+_CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _DISTINCT_INPUTS]))
 
 
 def _closed_form(specs) -> Iterator[CapacityResult]:
@@ -214,28 +240,30 @@ def _closed_form(specs) -> Iterator[CapacityResult]:
 
     The channels go through in blocks of _BLOCK: one pass takes their
     candidate entropies, and one Holevo pass weighs a copy of each channel's
-    best candidate's terms from _CANDIDATE_TERMS.  A channel's result has
-    the same bits in any block, and its own fresh state and ensemble.
+    best candidate's distinct terms from _CANDIDATE_TERMS.  A channel's result
+    has the same bits in any block, and its own copy of the winner's state
+    and covariant ensemble.
     """
     # Every block copies into one buffer, in the table's memory order: a fresh
-    # 1 MB array per block costs more in page faults than the copy itself.
+    # array per block costs more in page faults than the copy itself.
     shape = (min(len(specs), _BLOCK), *_CANDIDATE_TERMS.shape[1:])
     gathered = np.empty_like(_CANDIDATE_TERMS, shape=shape)
     for start in range(0, len(specs), _BLOCK):
         weights = _joint_weights(specs[start : start + _BLOCK])
         optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
-        terms = gathered[: len(optima)]
-        for row, (winner, _, _) in zip(terms, optima):
+        winners = [winner for winner, _, _ in optima]
+        terms = gathered[: len(winners)]
+        for row, winner in zip(terms, winners):
             row[...] = _CANDIDATE_TERMS[winner]
-        chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms)
+        chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _DISTINCT_ROWS[winners])
         for chi, (winner, s_min, regime) in zip(chis.tolist(), optima):
-            state = _CANDIDATES[winner][0].copy()
+            ensemble = Ensemble(_CANDIDATE_INPUTS[winner, 1:].copy(), _UNIFORM_PRIORS.copy())
             yield CapacityResult(
                 chi_bits=chi,
                 s_min_bits=s_min,
-                ensemble=covariant_ensemble(state),
+                ensemble=ensemble,
                 saturation_gap=abs(chi - (2.0 - s_min)),
-                state=state,
+                state=_CANDIDATES[winner][0].copy(),
                 regime=regime,
                 method=MOEMethod.ANALYTIC_CLOSED_FORM,
                 converged=True,

@@ -469,12 +469,19 @@ def test_candidate_inputs_are_a_read_only_constant_of_the_covariant_ensembles():
 
 
 def test_candidate_terms_are_a_read_only_constant_that_sweeps_leave_unchanged():
-    terms = capacity._CANDIDATE_TERMS
-    assert terms.shape == (len(_CANDIDATES), 17, 16, 4, 4)
-    with pytest.raises(ValueError):
-        terms[0, 0, 0, 0, 0] = 0.0
+    inputs, distinct = capacity._CANDIDATE_INPUTS, capacity._DISTINCT_INPUTS
+    rows, terms = capacity._DISTINCT_ROWS, capacity._CANDIDATE_TERMS
+    for table in (distinct, rows, terms):
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+    # The average and 5 distinct members of each axis candidate, 9 of the Bell state.
+    assert [len(set(row)) for row in rows.tolist()] == [6, 6, 6, 10]
+    assert (rows.shape, distinct.shape) == ((len(_CANDIDATES), 17), (len(_CANDIDATES), 10, 4, 4))
     for c in range(len(_CANDIDATES)):
-        assert terms[c].tobytes() == _kraus_terms(capacity._CANDIDATE_INPUTS[c]).tobytes()
+        assert terms[c].tobytes() == _kraus_terms(distinct[c]).tobytes()
+        assert rows[c, 0] == 0
+        for k in range(16):
+            assert inputs[c, k + 1].tobytes() == distinct[c, rows[c, k + 1]].tobytes()
     before = terms.tobytes()
     # X-optimal below its threshold, Bell-optimal above it.
     sweep = [ChannelSpec((0.5, 0.05, 0.4, 0.05), mu) for mu in np.linspace(0.0, 1.0, 101)]
@@ -518,8 +525,11 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
     ] * (capacity._BLOCK // 4)
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         results = list(_closed_form(specs))
-    # The candidate inputs were checked at import; only the outputs are diagonalized.
+    # The candidate inputs were checked at import; only the outputs are diagonalized,
+    # one per distinct input of each channel's winner.
     assert eigvalsh.call_count == 1
+    width = capacity._DISTINCT_INPUTS.shape[1]
+    assert eigvalsh.call_args.args[0].shape == (capacity._BLOCK * width, 4, 4)
     winners = {result.state.tobytes() for result in results}
     assert winners == {state.tobytes() for state, _ in _CANDIDATES}
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -556,6 +557,83 @@ def test_rejected_option_values_exit_2_before_any_search(args):
     with mock.patch.multiple(cli, **COMPUTATIONS), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_usage_error(args)
+
+
+#: A valid argv of each command, which a drawn argv may start from.
+FUZZ_BASES = {
+    "capacity": ("--family", "symmetric", "--param", "0.3", "--mu", "0.5"),
+    "sweep-mu": ("--q", "0.4,0.3,0.2,0.1", "--steps", "3"),
+    "sweep-p": ("--family", "depolarizing", "--mu", "0.5", "--steps", "3"),
+    "threshold": ("--p", "0.3"),
+    "moe": ("--family", "symmetric", "--param", "0.3", "--mu", "0.5", "--restarts", "2"),
+    "verify": ("--grid-density", "low"),
+}
+_CHANNEL = ("--family", "--param", "--q", "--mu")
+_COMMON = ("--seed", "--out", "--json", "--restarts", "--tolerance", "--help")
+_SWEEP = ("--threads", "--steps", "--per-qubit")
+#: Each command's options but --numeric.
+FUZZ_OPTIONS = {
+    "capacity": (*_CHANNEL, *_COMMON, "--per-qubit"),
+    "sweep-mu": (*_CHANNEL[:3], *_COMMON, *_SWEEP, "--mu-min", "--mu-max"),
+    "sweep-p": (*_CHANNEL, *_COMMON, *_SWEEP, "--param-min", "--param-max"),
+    "threshold": ("--p", "--out", "--json", "--help"),
+    "moe": (*_CHANNEL, *_COMMON),
+    "verify": ("--grid-density", "--seed", "--out", "--help"),
+}
+#: Unknown or ambiguous options, none an abbreviation of --numeric, other
+#: commands' options and stray positionals.
+FUZZ_JUNK = [
+    "--bogus", "--mu-", "--par", "-x", "--p", "--grid-density", "--steps", "extra", "verify"
+]
+#: No integer in [6, MAX_STEPS], so a drawn --steps asks for at most 5 points and
+#: a drawn --restarts for at most 5 restarts; a larger one is rejected before any work.
+FUZZ_VALUES = [
+    "0", "1", "2", "5", "-1", "-7", "0.3", "0.5", "1e-9", "nan", "inf", "-inf", "1e309",
+    "-1e400", "1e20", "123456789012345678901234567890", "-123456789012345678901234567890",
+    "symmetric", "depolarizing", "custom", "low", "high", "0.4,0.3,0.2,0.1", "0.5,0.5",
+    "nan,0.5,0.25,0.25", "inf,0,0,0", "1,0,0,0", "", "abc", "-", os.devnull, ".",
+    "/nonexistent-folder/out.csv",
+]
+#: Verify's checks, each passing at once, so that a drawn verify stays fast;
+#: the real checks run in test_verify_passes_and_is_deterministic.
+PASSING_CHECKS = tuple((name, lambda *draw: 0.0, tol) for name, _, tol in checks.CHECKS)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """A command or junk, maybe its valid base, then up to 5 of: one of its
+    options with a value, joined by ``=`` or missing (or a flag), and junk."""
+    command = draw(st.sampled_from([*FUZZ_BASES, "--help", "nope"]))
+    option = st.sampled_from(FUZZ_OPTIONS.get(command, FUZZ_JUNK))
+    value = st.sampled_from(FUZZ_VALUES)
+    pairs = st.one_of(
+        st.tuples(option, value),
+        st.builds("{}={}".format, option, value).map(lambda token: (token,)),
+        st.tuples(option),
+        st.tuples(st.sampled_from(FUZZ_JUNK)),
+    )
+    base = FUZZ_BASES.get(command, ()) if draw(st.booleans()) else ()
+    tokens = [token for pair in draw(st.lists(pairs, max_size=5)) for token in pair]
+    return [command, *base, *tokens]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(fuzz_argvs())
+def test_no_argv_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    # Any drawn value may be an --out path; a relative one lands in a fresh folder.
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(
+        checks, "CHECKS", PASSING_CHECKS
+    ):
+        os.chdir(folder)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(argv) in (0, 1, 2, 3), argv
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code, err.getvalue())
+        finally:
+            os.chdir(cwd)
 
 
 def test_sweep_mu_csv_schema(tmp_path):
