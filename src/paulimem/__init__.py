@@ -13,6 +13,7 @@ certifies it.
 from .capacity import (
     CapacityResult,
     Ensemble,
+    Regime,
     covariant_ensemble,
     crossing_mu,
     holevo_chi,
@@ -38,7 +39,6 @@ from .search import (
 from .spectral import shannon_entropy_bits, von_neumann_entropy_bits
 from .symmetric import (
     AnsatzState,
-    Regime,
     SymmetricParams,
     capacity_symmetric,
     optimal_input,

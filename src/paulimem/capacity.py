@@ -6,17 +6,22 @@ entropy.  The Holevo quantity of that ensemble therefore equals
 ``2 - S(E(rho))``; built on a minimal-output-entropy state it attains
 the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
 family included, takes that state from one closed form: the best of the
-four candidate inputs of ``channel``, whose Holevo inputs and their
-Kraus terms are built and checked once, at import.  The closed form
-weighs and diagonalizes the output of each byte-distinct input once and
-reuses it for every byte-equal member; ``holevo_chi`` checks a caller's
-ensemble and stays dense over every member's output.  One rule, the best
-axis candidate's entropy minus the Bell state's, sets a channel's regime
-and, bisected over ``mu``, its regime switch ``crossing_mu``.
+four candidate inputs below, whose Holevo inputs and their Kraus terms
+are built and checked once, at import.  The closed form weighs and
+diagonalizes the output of each byte-distinct input once and reuses it
+for every byte-equal member; ``holevo_chi`` checks a caller's ensemble
+and stays dense over every member's output.  One rule, the best axis
+candidate's entropy minus the Bell state's, sets a channel's regime and,
+bisected over ``mu``, its regime switch ``crossing_mu``.
+
+The four candidate inputs of ``candidate_entropies`` hold the minimal
+output entropy of every Pauli memory channel (Daems, PRA 76, 012310
+(2007)).
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -24,20 +29,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _BELL,
-    _CANDIDATES,
     ChannelSpec,
-    _candidate_entropies,
     _joint_weights,
     _kraus_terms,
     _weigh_terms,
     apply,  # noqa: F401  perfbench's tracer test reads capacity.apply
-    candidate_entropies,
 )
 from .pauli import _PAIR_STACK, _frozen
 from .search import MOEMethod, SearchConfig, minimize_output_entropy
-from .spectral import density_spectra, require_unit_norm, require_weights, von_neumann_entropy_bits
-from .symmetric import BOUNDARY_TOL, Regime
+from .spectral import density_spectra, require_unit_norm, require_weights, shannon_entropy_bits
+from .spectral import von_neumann_entropy_bits
+
+#: Width of the Boundary band: of the best axis-Bell entropy tie in
+#: ``two_qubit_capacity``, of ``|mu - |4p - 1||`` in ``symmetric.optimal_input``.
+BOUNDARY_TOL = 1e-12
+
+
+class Regime(enum.Enum):
+    """Which input family attains the two-qubit capacity."""
+
+    PRODUCT = "Product"
+    ENTANGLED = "Entangled"
+    BOUNDARY = "Boundary"
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +143,60 @@ def _holevo_chis(
     # accumulate adds one member at a time, in member order; a sum would pair them.
     held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
     return entropies[:, 0] - held
+
+
+_PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
+
+
+def _axis_labels(k: int) -> np.ndarray:
+    """Output label of each Pauli pair on the product eigenstate of ``s_k (x) s_k``.
+
+    ``s_0`` and ``s_k`` keep an eigenstate of ``s_k``; the other two flip
+    it to the orthogonal one.
+    """
+    flip_i = (_PAIR_I != 0) & (_PAIR_I != k)
+    flip_j = (_PAIR_J != 0) & (_PAIR_J != k)
+    return 2 * flip_i + flip_j
+
+
+#: Candidate minimal-output-entropy inputs with, for each Pauli pair, the
+#: label of the orthonormal state it sends the candidate to: the product
+#: eigenstates of ``s_1``, ``s_2`` and ``s_3`` on both qubits (|00>, |++>,
+#: |+i +i>), and the Bell state, which ``s_i (x) s_j`` sends to the Bell
+#: state ``i XOR j``.
+_CANDIDATES = (
+    (np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), _axis_labels(1)),
+    (np.full(4, 0.5, dtype=complex), _axis_labels(2)),
+    (np.array([0.5, 0.5j, 0.5j, -0.5], dtype=complex), _axis_labels(3)),
+    (np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0), _PAIR_I ^ _PAIR_J),
+)
+_BELL = len(_CANDIDATES) - 1
+
+#: Every candidate's labels in one array, candidate ``c``'s offset by ``4c``,
+#: and the Pauli pair that each label is the output of.
+_STACKED_LABELS = np.concatenate([labels + 4 * c for c, (_, labels) in enumerate(_CANDIDATES)])
+_STACKED_PAIRS = np.tile(np.arange(16), len(_CANDIDATES))
+
+
+def candidate_entropies(spec: ChannelSpec) -> list[float]:
+    """Output entropies in bits of the Z, X and Y axis candidates and the Bell state."""
+    return _candidate_entropies(_joint_weights((spec,)))[0].tolist()
+
+
+def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
+    """The four candidate entropies of each channel of an ``(n, 16)`` weight stack.
+
+    A candidate's output is diagonal in the states the 16 Pauli pairs send
+    it to, so its spectrum is the joint weights summed by label.  One
+    ``bincount``, which adds in input order, builds the 4n spectra, and
+    one Shannon pass takes their entropies: shape ``(n, 4)``.
+    """
+    width = 4 * len(_CANDIDATES)
+    labels = _STACKED_LABELS + width * np.arange(len(weights))[:, None]
+    spectra = np.bincount(
+        labels.ravel(), weights[:, _STACKED_PAIRS].ravel(), minlength=width * len(weights)
+    )
+    return shannon_entropy_bits(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
 
 
 def _best_axis(entropies: list[float]) -> tuple[int, float]:

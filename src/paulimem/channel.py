@@ -8,14 +8,10 @@ joint weights are
     p_ij = (1 - mu) q_i q_j + mu q_i delta_ij
 
 and the channel acts as ``rho -> sum_ij p_ij (s_i x s_j) rho (s_i x s_j)``.
-
-The four candidate inputs of ``candidate_entropies`` hold the minimal
-output entropy of every such channel (Daems, PRA 76, 012310 (2007)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +22,6 @@ from .spectral import (
     require_memory_factor,
     require_symmetric_weight,
     require_weights,
-    shannon_entropy_bits,
 )
 
 
@@ -85,60 +80,6 @@ def kraus_operators(spec: ChannelSpec) -> np.ndarray:
     Returned as a fresh ``(16, 4, 4)`` stack.
     """
     return np.sqrt(_joint_weights((spec,))).reshape(16, 1, 1) * _PAIR_STACK
-
-
-_PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
-
-
-def _axis_labels(k: int) -> np.ndarray:
-    """Output label of each Pauli pair on the product eigenstate of ``s_k (x) s_k``.
-
-    ``s_0`` and ``s_k`` keep an eigenstate of ``s_k``; the other two flip
-    it to the orthogonal one.
-    """
-    flip_i = (_PAIR_I != 0) & (_PAIR_I != k)
-    flip_j = (_PAIR_J != 0) & (_PAIR_J != k)
-    return 2 * flip_i + flip_j
-
-
-#: Candidate minimal-output-entropy inputs with, for each Pauli pair, the
-#: label of the orthonormal state it sends the candidate to: the product
-#: eigenstates of ``s_1``, ``s_2`` and ``s_3`` on both qubits (|00>, |++>,
-#: |+i +i>), and the Bell state, which ``s_i (x) s_j`` sends to the Bell
-#: state ``i XOR j``.
-_CANDIDATES = (
-    (np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), _axis_labels(1)),
-    (np.full(4, 0.5, dtype=complex), _axis_labels(2)),
-    (np.array([0.5, 0.5j, 0.5j, -0.5], dtype=complex), _axis_labels(3)),
-    (np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0), _PAIR_I ^ _PAIR_J),
-)
-_BELL = len(_CANDIDATES) - 1
-
-#: Every candidate's labels in one array, candidate ``c``'s offset by ``4c``,
-#: and the Pauli pair that each label is the output of.
-_STACKED_LABELS = np.concatenate([labels + 4 * c for c, (_, labels) in enumerate(_CANDIDATES)])
-_STACKED_PAIRS = np.tile(np.arange(16), len(_CANDIDATES))
-
-
-def candidate_entropies(spec: ChannelSpec) -> list[float]:
-    """Output entropies in bits of the Z, X and Y axis candidates and the Bell state."""
-    return _candidate_entropies(_joint_weights((spec,)))[0].tolist()
-
-
-def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
-    """The four candidate entropies of each channel of an ``(n, 16)`` weight stack.
-
-    A candidate's output is diagonal in the states the 16 Pauli pairs send
-    it to, so its spectrum is the joint weights summed by label.  One
-    ``bincount``, which adds in input order, builds the 4n spectra, and
-    one Shannon pass takes their entropies: shape ``(n, 4)``.
-    """
-    width = 4 * len(_CANDIDATES)
-    labels = _STACKED_LABELS + width * np.arange(len(weights))[:, None]
-    spectra = np.bincount(
-        labels.ravel(), weights[:, _STACKED_PAIRS].ravel(), minlength=width * len(weights)
-    )
-    return shannon_entropy_bits(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
 
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero

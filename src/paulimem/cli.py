@@ -91,12 +91,6 @@ def _resolve_family(args, parser):
     return family, args.param, build
 
 
-def _require_mu(args, parser) -> float:
-    if args.mu is None:
-        parser.error("--mu is required")
-    return args.mu
-
-
 def _search_config(args, seed: int) -> SearchConfig:
     return SearchConfig(
         restarts=args.restarts,
@@ -189,9 +183,8 @@ def _write(text: str, args, parser) -> None:
 def _single_point(args, parser):
     """Leading report pairs, channel and search config of one point."""
     family, param, build = _resolve_family(args, parser)
-    mu = _require_mu(args, parser)
     with _usage_errors(parser):
-        spec = build(param, mu)
+        spec = build(param, args.mu)
         cfg = _search_config(args, args.seed)
     pairs = [("family", family)] + ([] if math.isnan(param) else [("param", param)])
     return pairs + [("mu", spec.mu)], spec, cfg
@@ -225,14 +218,7 @@ def _run_sweep(args, parser) -> int:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 
     if args.sweep_param:
-        if args.family not in _FAMILIES:
-            parser.error("sweep-p requires --family symmetric or depolarizing")
-        if args.param is not None or args.q is not None:
-            parser.error(
-                "sweep-p takes its weight range from --param-min/--param-max, not --param or --q"
-            )
         family, build, upper = _FAMILIES[args.family]
-        mu = _require_mu(args, parser)
         lo = args.param_min if args.param_min is not None else 0.0
         hi = args.param_max if args.param_max is not None else upper
     else:
@@ -248,7 +234,7 @@ def _run_sweep(args, parser) -> int:
         _search_config(args, args.seed)  # the base seed, before --numeric points derive theirs
         params, specs = [], []
         for v in np.linspace(lo, hi, args.steps):
-            point_param, point_mu = (float(v), mu) if args.sweep_param else (param, float(v))
+            point_param, point_mu = (float(v), args.mu) if args.sweep_param else (param, float(v))
             params.append(point_param)
             specs.append(build(point_param, point_mu))
 
@@ -349,7 +335,7 @@ def _run_verify(args, parser) -> int:
 # parser
 
 
-def _add_channel_options(sp, with_mu=True):
+def _add_channel_options(sp):
     sp.add_argument(
         "--family",
         choices=["symmetric", "depolarizing", "custom"],
@@ -357,23 +343,29 @@ def _add_channel_options(sp, with_mu=True):
     )
     sp.add_argument("--param", type=float, help="family weight: p (symmetric) or x (depolarizing)")
     sp.add_argument("--q", help="custom weights q0,q1,q2,q3")
-    if with_mu:
-        sp.add_argument("--mu", type=float, help="memory factor in [0, 1]")
 
 
-def _add_common_options(sp, threads=False):
+def _add_mu_option(sp):
+    sp.add_argument("--mu", type=float, required=True, help="memory factor in [0, 1]")
+
+
+def _add_common_options(sp):
     sp.add_argument("--seed", type=int, default=42, help="seed for every stochastic component")
     sp.add_argument("--out", help="output file (default standard output)")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
     sp.add_argument("--restarts", type=int, default=64, help="search restarts")
     sp.add_argument("--tolerance", type=float, default=1e-9, help="search entropy tolerance in bits")
-    if threads:
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; grid points run in order in one thread",
-        )
+
+
+def _add_sweep_options(sp):
+    sp.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; grid points run in order in one thread",
+    )
+    sp.add_argument("--per-qubit", action="store_true", help="report capacity per channel use")
+    sp.add_argument("--numeric", action="store_true", help="run the search, not the closed form")
 
 
 @functools.cache
@@ -387,29 +379,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("capacity", help="capacity at a single channel point")
     _add_channel_options(sp)
+    _add_mu_option(sp)
     _add_common_options(sp)
     sp.add_argument("--per-qubit", action="store_true", help="report capacity per channel use")
     sp.add_argument("--numeric", action="store_true", help="run the search, not the closed form")
     sp.set_defaults(handler=_run_capacity, parser=sp)
 
     sp = sub.add_parser("sweep-mu", help="capacity over a memory grid")
-    _add_channel_options(sp, with_mu=False)
-    _add_common_options(sp, threads=True)
+    _add_channel_options(sp)
+    _add_common_options(sp)
+    _add_sweep_options(sp)
     sp.add_argument("--mu-min", type=float, default=0.0)
     sp.add_argument("--mu-max", type=float, default=1.0)
     sp.add_argument("--steps", type=int, default=101, help="grid points incl. endpoints")
-    sp.add_argument("--per-qubit", action="store_true")
-    sp.add_argument("--numeric", action="store_true")
     sp.set_defaults(handler=_run_sweep, sweep_param=False, parser=sp)
 
     sp = sub.add_parser("sweep-p", help="capacity over a family-weight grid")
-    _add_channel_options(sp)
-    _add_common_options(sp, threads=True)
+    sp.add_argument("--family", choices=list(_FAMILIES), required=True, help="channel family")
+    _add_mu_option(sp)
+    _add_common_options(sp)
+    _add_sweep_options(sp)
     sp.add_argument("--param-min", type=float)
     sp.add_argument("--param-max", type=float)
     sp.add_argument("--steps", type=int, default=51)
-    sp.add_argument("--per-qubit", action="store_true")
-    sp.add_argument("--numeric", action="store_true")
     sp.set_defaults(handler=_run_sweep, sweep_param=True, parser=sp)
 
     sp = sub.add_parser("threshold", help="memory threshold of the symmetric family")
@@ -420,6 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moe", help="global minimal-output-entropy search")
     _add_channel_options(sp)
+    _add_mu_option(sp)
     _add_common_options(sp)
     sp.set_defaults(handler=_run_moe, parser=sp)
 

@@ -104,9 +104,15 @@ def parametrize_pure_state(angles) -> np.ndarray:
     ``(a1, a2, a3, b1, b2, b3)`` maps to amplitudes
     ``(cos a1, e^(i b1) sin a1 cos a2, e^(i b2) sin a1 sin a2 cos a3,
     e^(i b3) sin a1 sin a2 sin a3)``; the map covers all pure states up
-    to global phase.
+    to global phase.  Raises ValueError unless there are 6 finite angles.
     """
-    return _pure_states(np.asarray(angles, dtype=float).reshape(1, 6))[0]
+    angles = np.asarray(angles, dtype=float).ravel()
+    if angles.size != 6:
+        raise ValueError(f"expected 6 angles, got {angles.size}")
+    finite = np.isfinite(angles)
+    if not finite.all():
+        raise ValueError(f"angles must be finite, got {float(angles[~finite][0])}")
+    return _pure_states(angles.reshape(1, 6))[0]
 
 
 def _pure_states(angles: np.ndarray) -> np.ndarray:

@@ -11,25 +11,13 @@ formulas; they are the independent oracle for its four-candidate form.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .capacity import BOUNDARY_TOL, Regime
 from .spectral import require_memory_factor, require_symmetric_weight, shannon_entropy_bits
-
-#: Width of the Boundary band: of the best axis-Bell entropy tie in
-#: ``two_qubit_capacity``, of ``|mu - |4p - 1||`` in ``optimal_input``.
-BOUNDARY_TOL = 1e-12
-
-
-class Regime(enum.Enum):
-    """Which input family attains the two-qubit capacity."""
-
-    PRODUCT = "Product"
-    ENTANGLED = "Entangled"
-    BOUNDARY = "Boundary"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Covariant ensembles and the saturation of the capacity bound."""
 
+import ast
+import inspect
 import math
 import re
 from types import SimpleNamespace
@@ -10,28 +12,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulimem import capacity, checks
+from paulimem import capacity, channel, checks, symmetric
 from paulimem.capacity import (
+    _CANDIDATES,
     Ensemble,
+    Regime,
     _closed_form,
+    candidate_entropies,
     covariant_ensemble,
     crossing_mu,
     holevo_chi,
     two_qubit_capacity,
 )
 from paulimem.channel import (
-    _CANDIDATES,
     ChannelSpec,
     _joint_weights,
     _kraus_terms,
     apply,
-    candidate_entropies,
     preset_depolarizing,
     preset_symmetric,
 )
-from paulimem.search import MOEMethod, SearchConfig, output_entropy
+from paulimem.search import MOEMethod, SearchConfig, output_entropy, parametrize_pure_state
 from paulimem.spectral import density_spectra, shannon_entropy_bits, von_neumann_entropy_bits
-from paulimem.symmetric import Regime, SymmetricParams, capacity_symmetric, optimal_input
+from paulimem.symmetric import SymmetricParams, capacity_symmetric, optimal_input
 from util import (
     CANDIDATES,
     kraus_sum_oracle,
@@ -117,13 +120,19 @@ def _uncalled_factory(mu):
         (lambda: crossing_mu(_uncalled_factory, tol=-1.0), "^tol must be finite and positive"),
         (lambda: crossing_mu(_uncalled_factory, tol=NAN), "^tol must be finite and positive"),
         (lambda: crossing_mu(_uncalled_factory, tol=math.inf), "^tol must be finite and positive"),
+        (
+            lambda: parametrize_pure_state([math.inf, 0, 0, 0, 0, 0]),
+            "^angles must be finite, got inf$",
+        ),
+        (lambda: parametrize_pure_state([0.0] * 5), "^expected 6 angles, got 5$"),
     ],
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
         "config-seed", "config-restarts-float", "config-iterations-float",
         "config-seed-float", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
         "holevo-unused-member", "holevo-mixed-member", "crossing-tol-zero",
-        "crossing-tol-negative", "crossing-tol-nan", "crossing-tol-inf",
+        "crossing-tol-negative", "crossing-tol-nan", "crossing-tol-inf", "angles-inf",
+        "angles-count",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):
@@ -149,12 +158,14 @@ def test_invalid_input_raises_value_error(call, message):
         lambda: ChannelSpec((0.5, 0.5, 0.5, 0.5), 0.5),
         lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [1, 0])),
         lambda: holevo_chi(preset_symmetric(0.3, 0.5), Ensemble(NOT_PSD, [0.5, 0.5])),
+        lambda: parametrize_pure_state([math.inf, 0, 0, 0, 0, 0]),
+        lambda: parametrize_pure_state(np.zeros((2, 4))),
     ],
     ids=[
         "apply-trace", "spectrum-trace", "shannon-sum", "shannon-stack-sum",
         "shannon-negative", "shannon-nan", "ensemble-sum", "ensemble-negative",
         "ensemble-shape", "state-norm", "spec-sum", "holevo-unused-member",
-        "holevo-mixed-member",
+        "holevo-mixed-member", "angles-inf", "angles-count",
     ],
 )
 def test_validator_messages_print_plain_numbers(call):
@@ -562,3 +573,46 @@ def test_public_api_is_the_documented_names():
         assert getattr(paulimem, name) is not None
     for name in REMOVED_NAMES:
         assert not hasattr(paulimem, name), name
+
+
+def _imports(module) -> dict[str, set[str]]:
+    """The names ``module``'s source imports from each sibling module; a
+    ``from . import m`` takes ``"*"`` from ``m``."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    found.setdefault(alias.name, set()).add("*")
+                else:
+                    found.setdefault(node.module, set()).add(alias.name)
+    return found
+
+
+def _top_level_names(module) -> set[str]:
+    """The names ``module``'s source binds at top level, imports aside."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_capacity_owns_the_candidates_and_the_regime_rule():
+    # The oracle borrows only the regime vocabulary; the closed form takes nothing from it.
+    assert "symmetric" not in _imports(capacity)
+    assert _imports(symmetric)["capacity"] == {"BOUNDARY_TOL", "Regime"}
+    assert _imports(capacity)["channel"] == {
+        "ChannelSpec", "_joint_weights", "_kraus_terms", "_weigh_terms", "apply",
+    }
+    # The channel keeps the spec, the weights and the kernel, and no candidate.
+    defined = _top_level_names(channel)
+    assert not {name for name in defined if re.search("candidate|label|bell", name, re.I)}
+    assert not {"_PAIR_I", "_PAIR_J", "_STACKED_PAIRS"} & defined
+    assert "shannon_entropy_bits" not in _imports(channel)["spectral"]
+    assert {"_CANDIDATES", "_BELL", "candidate_entropies", "BOUNDARY_TOL", "Regime"} <= (
+        _top_level_names(capacity)
+    )

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from paulimem.capacity import _CANDIDATES, candidate_entropies
 from paulimem.channel import (
-    _CANDIDATES,
     ChannelSpec,
     _joint_weights,
     _kraus_terms,
     _weigh_terms,
     apply,
-    candidate_entropies,
     kraus_operators,
     preset_depolarizing,
     preset_symmetric,

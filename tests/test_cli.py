@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -400,6 +401,12 @@ def test_argument_errors_exit_2(tmp_path):
         ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--q", "1,0,0,0", "--steps", "2"],
         ["sweep-p", "--family", "symmetric", "--mu", "0.5", "--param", "0.9",
          "--q", "1,0,0,0", "--steps", "2"],
+        ["sweep-p", "--family", "custom", "--mu", "0.5", "--steps", "2"],
+        ["sweep-p", "--mu", "0.5", "--steps", "2"],
+        # --mu is required wherever one point's memory is taken from it.
+        ["sweep-p", "--family", "symmetric", "--steps", "2"],
+        ["capacity", "--family", "symmetric", "--param", "0.3"],
+        ["moe", "--q", "0.4,0.3,0.2,0.1"],
         # An --out path that cannot be written is rejected before any computation.
         ["capacity", *point, "--out", missing],
         ["capacity", *point, "--out", str(tmp_path)],
@@ -427,10 +434,28 @@ def test_argument_errors_exit_2(tmp_path):
     assert errors["verify --seed -1"] == (
         "paulimem verify: error: seed must be a nonnegative integer, got -1"
     )
+    assert errors["capacity --family symmetric --param 0.3"] == (
+        "paulimem capacity: error: the following arguments are required: --mu"
+    )
     # A non-finite weight is named as such, not as a bad sum.
     assert errors["capacity --q nan,0.5,0.25,0.25 --mu 0.3"] == (
         "paulimem capacity: error: q must be finite, got nan"
     )
+
+
+@pytest.mark.parametrize("command", ["capacity", "moe", "sweep-p"])
+def test_help_lists_only_the_options_a_command_accepts(command):
+    code, out, _ = run_captured([command, "--help"])
+    assert code == 0
+    usage = " ".join(out.split("\n\n")[0].split())
+    # A required option is shown without brackets.
+    assert " --mu MU " in f"{usage} " and "[--mu MU]" not in usage
+    if command == "sweep-p":
+        # sweep-p takes a family and a weight range, never one weight or custom weights.
+        assert " --family {symmetric,depolarizing} " in usage
+        options = set(re.findall(r"--[\w-]+", out))
+        assert not {"--q", "--param"} & options
+        assert "custom" not in out
 
 
 SWEEP_MU = ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "3"]
@@ -571,7 +596,8 @@ FUZZ_BASES = {
 _CHANNEL = ("--family", "--param", "--q", "--mu")
 _COMMON = ("--seed", "--out", "--json", "--restarts", "--tolerance", "--help")
 _SWEEP = ("--threads", "--steps", "--per-qubit")
-#: Each command's options but --numeric.
+#: Each command's options but --numeric; sweep-p's also hold --param and --q,
+#: which it rejects.
 FUZZ_OPTIONS = {
     "capacity": (*_CHANNEL, *_COMMON, "--per-qubit"),
     "sweep-mu": (*_CHANNEL[:3], *_COMMON, *_SWEEP, "--mu-min", "--mu-max"),
