@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimem import checks, cli
-from paulimem.capacity import two_qubit_capacity
+from paulimem.capacity import _BLOCK, two_qubit_capacity
 from paulimem.channel import ChannelSpec
 from paulimem.cli import main
 
@@ -813,6 +813,110 @@ def test_closed_form_sweep_has_the_bytes_of_single_points():
     assert text == json.dumps(rows, indent=2, allow_nan=False) + "\n"
     regimes = [row["regime"] for row in rows]
     assert regimes == ["Product"] * 80 + ["Entangled"] * 21
+
+
+def _point_rows(family, build, points, key, halve):
+    """The sweep records of ``points``, each computed alone by ``two_qubit_capacity``."""
+    rows = []
+    for param, mu in points:
+        result = two_qubit_capacity(build(param, mu))
+        rows.append({
+            "family": family, "param": param, "mu": mu, "s_min_bits": result.s_min_bits,
+            key: result.chi_bits / 2.0 if halve else result.chi_bits,
+            "regime": result.regime.value, "method": "Analytic",
+        })
+    return rows
+
+
+def _point_text(rows, as_json):
+    """``rows`` as the sweep writes them: one JSON array, or CSV at 9 digits."""
+    if as_json:
+        rows = [{k: None if v != v else v for k, v in row.items()} for row in rows]
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    cells = [[f"{v:.9g}" if isinstance(v, float) else v for v in row.values()] for row in rows]
+    return "".join(",".join(line) + "\n" for line in [list(rows[0]), *cells])
+
+
+def _sweep_cases(seed):
+    """Seeded sweeps: (argv, family label, spec builder, grid points)."""
+    rng = np.random.default_rng(seed)
+    steps = [2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+    custom = [(0.5, 0.05, 0.4, 0.05), (0.5, 0.05, 0.05, 0.4), (0.4, 0.3, 0.2, 0.1)]
+    for k in range(144):
+        n = steps[k % 4]
+        kind = ("symmetric", "depolarizing", "custom")[k // 4 % 3]
+        if kind == "custom" or k // 12 % 2 == 0:  # sweep-mu
+            if kind == "custom":
+                weights = custom[k % 3] if k % 24 < 12 else rng.dirichlet(np.ones(4)).tolist()
+                text = ",".join(map(repr, weights))
+                q = tuple(w / sum(weights) for w in weights)  # as --q renormalizes
+                family, param, build = "Custom", math.nan, lambda _, mu, q=q: ChannelSpec(q, mu)
+                channel = ["--q", text]
+            else:
+                upper = 0.5 if kind == "symmetric" else 1.0
+                param = float(rng.uniform(0.0, upper))
+                family, build = kind.capitalize(), getattr(cli.ch, f"preset_{kind}")
+                channel = ["--family", kind, "--param", repr(param)]
+            lo, hi = sorted(float(x) for x in rng.uniform(0.0, 1.0, 2))
+            if kind == "symmetric":  # a grid end on the paper's threshold mu = |4p - 1|
+                lo, hi = (abs(4 * param - 1), max(hi, abs(4 * param - 1))) if k % 2 else (
+                    min(lo, abs(4 * param - 1)), abs(4 * param - 1))
+            argv = ["sweep-mu", *channel, "--mu-min", repr(lo), "--mu-max", repr(hi)]
+            points = [(param, float(v)) for v in np.linspace(lo, hi, n)]
+        else:
+            upper = 0.5 if kind == "symmetric" else 1.0
+            mu = float(rng.uniform(0.0, 1.0))
+            lo, hi = sorted(float(x) for x in rng.uniform(0.0, upper, 2))
+            if kind == "symmetric":  # a grid end on p = (1 -+ mu) / 4
+                lo, hi = ((1.0 - mu) / 4.0, max(hi, (1.0 - mu) / 4.0)) if k % 2 else (
+                    min(lo, (1.0 + mu) / 4.0), (1.0 + mu) / 4.0)
+            family, build = kind.capitalize(), getattr(cli.ch, f"preset_{kind}")
+            argv = ["sweep-p", "--family", kind, "--mu", repr(mu),
+                    "--param-min", repr(lo), "--param-max", repr(hi)]
+            points = [(float(v), mu) for v in np.linspace(lo, hi, n)]
+        yield [*argv, "--steps", str(n)], family, build, points
+
+
+def test_sweep_rows_have_the_bits_of_points_computed_alone():
+    total = 0
+    for argv, family, build, points in _sweep_cases(2024):
+        total += len(points)
+        for extra in ([], ["--json"], ["--per-qubit"], ["--json", "--per-qubit"]):
+            halve = "--per-qubit" in extra
+            key = "capacity_bits_per_qubit" if halve else "capacity_bits"
+            rows = _point_rows(family, build, points, key, halve)
+            expected = _point_text(rows, "--json" in extra)
+            assert run_captured(argv + extra) == (0, expected, ""), argv + extra
+    assert total >= 3000
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        ("sweep-p --family symmetric --mu 0.5 --param-min 0.4 --param-max 0.7 --steps 4",
+         "symmetric-family weight p must lie in [0, 1/2], got 0.6"),
+        ("sweep-mu --family symmetric --param 0.3 --mu-min -0.5 --steps 4",
+         "mu must lie in [0, 1], got -0.5"),
+        ("sweep-mu --family symmetric --param 0.3 --mu-max 1.5 --steps 5",
+         "mu must lie in [0, 1], got 1.125"),
+        ("sweep-mu --family symmetric --param 0.7 --mu-min -1 --steps 3",
+         "symmetric-family weight p must lie in [0, 1/2], got 0.7"),
+        ("sweep-mu --family depolarizing --param 1.5 --steps 3",
+         "depolarizing weight x must lie in [0, 1], got 1.5"),
+        ("sweep-mu --q 0.4,0.3,0.2,0.1 --mu-min 0.5 --mu-max 1.25 --steps 4",
+         "mu must lie in [0, 1], got 1.25"),
+        ("sweep-mu --q inf,0,0,0 --mu-min -1 --steps 3", "q must be finite, got inf"),
+        ("sweep-p --family depolarizing --mu 0.5 --param-max 1.3 --steps 4",
+         "depolarizing weight x must lie in [0, 1], got 1.3"),
+        ("sweep-p --family depolarizing --mu 1.5 --steps 3", "mu must lie in [0, 1], got 1.5"),
+        ("sweep-p --family symmetric --mu 1.5 --param-min -0.1 --steps 3",
+         "symmetric-family weight p must lie in [0, 1/2], got -0.1"),
+    ],
+)
+def test_a_sweep_names_its_first_bad_grid_point(argv, message):
+    command = argv.split()[0]
+    with mock.patch.multiple(cli, **COMPUTATIONS):
+        assert assert_usage_error(argv.split()) == f"paulimem {command}: error: {message}"
 
 
 def test_closed_form_sweep_derives_no_search_seed(tmp_path):
