@@ -111,7 +111,7 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits, through
     the same stacked pass as every closed-form capacity; the error names the
     first member of ``ensemble.states`` that is not a two-qubit state."""
-    weights = _joint_weights((spec,))
+    weights = _joint_weights([spec.q], [spec.mu])
     inputs = _holevo_inputs(ensemble)
     rows = np.arange(len(inputs))[None]
     return float(_holevo_chis(weights, ensemble.priors, _kraus_terms(inputs[None]), rows)[0])
@@ -180,7 +180,7 @@ _STACKED_PAIRS = np.tile(np.arange(16), len(_CANDIDATES))
 
 def candidate_entropies(spec: ChannelSpec) -> list[float]:
     """Output entropies in bits of the Z, X and Y axis candidates and the Bell state."""
-    return _candidate_entropies(_joint_weights((spec,)))[0].tolist()
+    return _candidate_entropies(_joint_weights([spec.q], [spec.mu]))[0].tolist()
 
 
 def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
@@ -283,7 +283,7 @@ def _distinct_inputs(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(stacks[np.arange(len(stacks))[:, None], firsts]), rows
 
 
-#: Channels per stacked pass of ``_closed_form``, which holds one block at a time.
+#: Channels per stacked pass of ``_closed_form_rows``, which holds one block at a time.
 _BLOCK = 16
 
 #: ``_holevo_inputs`` of each candidate's covariant ensemble, ``(4, 17, 4, 4)``,
@@ -302,21 +302,21 @@ _DISTINCT_INPUTS, _DISTINCT_ROWS = _distinct_inputs(_CANDIDATE_INPUTS)
 _CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _DISTINCT_INPUTS]))
 
 
-def _closed_form(specs) -> Iterator[CapacityResult]:
-    """Closed-form capacity of each channel of the sequence ``specs``, in order.
+def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
+    """Closed-form ``(chi, s_min, winner, regime)`` of each channel ``(q[k], mu[k])``
+    of ``(n, 4)`` checked weights and ``(n,)`` memory factors, in order.
 
-    The channels go through in blocks of _BLOCK: one pass takes their
-    candidate entropies, and one Holevo pass weighs a copy of each channel's
-    best candidate's distinct terms from _CANDIDATE_TERMS.  A channel's result
-    has the same bits in any block, and its own copy of the winner's state
-    and covariant ensemble.
+    The channels go through in blocks of _BLOCK: one broadcast builds their
+    weights, one pass takes their candidate entropies, and one Holevo pass
+    weighs a copy of each channel's best candidate's distinct terms from
+    _CANDIDATE_TERMS.  A channel's row has the same bits in any block.
     """
     # Every block copies into one buffer, in the table's memory order: a fresh
     # array per block costs more in page faults than the copy itself.
-    shape = (min(len(specs), _BLOCK), *_CANDIDATE_TERMS.shape[1:])
+    shape = (min(len(mu), _BLOCK), *_CANDIDATE_TERMS.shape[1:])
     gathered = np.empty_like(_CANDIDATE_TERMS, shape=shape)
-    for start in range(0, len(specs), _BLOCK):
-        weights = _joint_weights(specs[start : start + _BLOCK])
+    for start in range(0, len(mu), _BLOCK):
+        weights = _joint_weights(q[start : start + _BLOCK], mu[start : start + _BLOCK])
         optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
         winners = [winner for winner, _, _ in optima]
         terms = gathered[: len(winners)]
@@ -324,17 +324,24 @@ def _closed_form(specs) -> Iterator[CapacityResult]:
             row[...] = _CANDIDATE_TERMS[winner]
         chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _DISTINCT_ROWS[winners])
         for chi, (winner, s_min, regime) in zip(chis.tolist(), optima):
-            ensemble = Ensemble(_CANDIDATE_INPUTS[winner, 1:].copy(), _UNIFORM_PRIORS.copy())
-            yield CapacityResult(
-                chi_bits=chi,
-                s_min_bits=s_min,
-                ensemble=ensemble,
-                saturation_gap=abs(chi - (2.0 - s_min)),
-                state=_CANDIDATES[winner][0].copy(),
-                regime=regime,
-                method=MOEMethod.ANALYTIC_CLOSED_FORM,
-                converged=True,
-            )
+            yield chi, s_min, winner, regime
+
+
+def _closed_form(specs) -> Iterator[CapacityResult]:
+    """``_closed_form_rows`` of the sequence ``specs`` as capacity results, each
+    with its own copy of the winner's state and covariant ensemble."""
+    q, mu = np.array([spec.q for spec in specs]), np.array([spec.mu for spec in specs])
+    for chi, s_min, winner, regime in _closed_form_rows(q, mu):
+        yield CapacityResult(
+            chi_bits=chi,
+            s_min_bits=s_min,
+            ensemble=Ensemble(_CANDIDATE_INPUTS[winner, 1:].copy(), _UNIFORM_PRIORS.copy()),
+            saturation_gap=abs(chi - (2.0 - s_min)),
+            state=_CANDIDATES[winner][0].copy(),
+            regime=regime,
+            method=MOEMethod.ANALYTIC_CLOSED_FORM,
+            converged=True,
+        )
 
 
 def two_qubit_capacity(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .pauli import _PAIR_STACK
 from .spectral import (
+    WEIGHT_SUM_TOL,
     density_spectra,
     require_memory_factor,
     require_symmetric_weight,
@@ -47,8 +48,12 @@ def preset_symmetric(p: float, mu: float) -> ChannelSpec:
     Requires ``0 <= p <= 1/2``; this is the family with a closed-form
     optimal input and memory threshold.
     """
-    p = require_symmetric_weight(p)
-    return ChannelSpec((p, p, 0.5 - p, 0.5 - p), mu)
+    return ChannelSpec(_symmetric_q(require_symmetric_weight(p)), mu)
+
+
+def _symmetric_q(p):
+    """The symmetric family's four weights of a float ``p`` or of an array of them."""
+    return p, p, 0.5 - p, 0.5 - p
 
 
 def preset_depolarizing(x: float, mu: float) -> ChannelSpec:
@@ -56,20 +61,36 @@ def preset_depolarizing(x: float, mu: float) -> ChannelSpec:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"depolarizing weight x must lie in [0, 1], got {x}")
+    return ChannelSpec(_depolarizing_q(x), mu)
+
+
+def _depolarizing_q(x):
+    """The depolarizing family's four weights of a float ``x`` or of an array of them."""
     r = (1.0 - x) / 3.0
-    return ChannelSpec((x, r, r, r), mu)
+    return x, r, r, r
+
+
+def _accepted(q: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Which channels ``(q[k], mu[k])`` ChannelSpec accepts, for ``(n, 4)`` weights
+    and ``(n,)`` memory factors that broadcast: its checks on whole arrays, with
+    the weights added in order, as ``require_weights`` adds them."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a rejected row may overflow
+        total = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
+    ok = (np.isfinite(q) & (q >= 0.0)).all(axis=1) & (abs(total - 1.0) <= WEIGHT_SUM_TOL)
+    return ok & (mu >= 0.0) & (mu <= 1.0)
 
 
 _EYE = np.eye(4)
 
 
-def _joint_weights(specs) -> np.ndarray:
-    """Joint weights of each channel, one ``(16,)`` row ``p[4*i + j]`` per spec.
+def _joint_weights(q, mu) -> np.ndarray:
+    """Row ``k``: joint weights ``p[4*i + j]`` of channel ``(q[k], mu[k])``, for stacks
+    ``(n, 4)`` and ``(n,)``.
 
     As a 4x4 matrix, rows marginalize to ``q_i`` and columns to ``q_j``.
     """
-    params = np.array([(*spec.q, spec.mu) for spec in specs])
-    q, mu = params[:, :4, None], params[:, 4:, None]
+    q = np.asarray(q, dtype=float)[:, :, None]
+    mu = np.asarray(mu, dtype=float)[:, None, None]
     joint = (1.0 - mu) * (q * q.swapaxes(1, 2)) + mu * (q * _EYE)
     return joint.reshape(-1, 16)
 
@@ -79,7 +100,7 @@ def kraus_operators(spec: ChannelSpec) -> np.ndarray:
 
     Returned as a fresh ``(16, 4, 4)`` stack.
     """
-    return np.sqrt(_joint_weights((spec,))).reshape(16, 1, 1) * _PAIR_STACK
+    return np.sqrt(_joint_weights([spec.q], [spec.mu])).reshape(16, 1, 1) * _PAIR_STACK
 
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero
@@ -95,7 +116,7 @@ def apply(spec: ChannelSpec, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     density_spectra(rho)
     terms = _kraus_terms(rho.reshape(1, -1, 4, 4))
-    return _weigh_terms(_joint_weights((spec,)), terms).reshape(rho.shape)
+    return _weigh_terms(_joint_weights([spec.q], [spec.mu]), terms).reshape(rho.shape)
 
 
 def _kraus_terms(rho: np.ndarray) -> np.ndarray:

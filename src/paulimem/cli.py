@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -19,14 +20,15 @@ import numpy as np
 
 from . import channel as ch
 from . import checks
-from .capacity import _closed_form, crossing_mu, two_qubit_capacity
-from .search import MOEMethod, SearchConfig, minimize_output_entropy, schmidt_coefficients
+from .capacity import _BLOCK, _closed_form_rows, crossing_mu, two_qubit_capacity
+from .search import SearchConfig, minimize_output_entropy, schmidt_coefficients
 from .symmetric import capacity_symmetric, threshold
 
 #: Custom weights are renormalized only below this deviation from 1.
 Q_RENORM_TOL = 1e-9
 
-#: Most grid points one sweep takes.
+#: Most grid points one sweep takes: a closed-form sweep streams its rows in
+#: bounded memory, so the cap bounds its time: about a minute at the cap.
 MAX_STEPS = 1_000_000
 
 
@@ -57,10 +59,10 @@ def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     return tuple(x / total for x in q)
 
 
-#: --family choice -> (label, spec builder over (param, mu), default sweep-p upper bound).
+#: --family choice -> (label, spec builder, weights of param(s), default sweep-p upper bound).
 _FAMILIES = {
-    "symmetric": ("Symmetric", ch.preset_symmetric, 0.5),
-    "depolarizing": ("Depolarizing", ch.preset_depolarizing, 1.0),
+    "symmetric": ("Symmetric", ch.preset_symmetric, ch._symmetric_q, 0.5),
+    "depolarizing": ("Depolarizing", ch.preset_depolarizing, ch._depolarizing_q, 1.0),
 }
 
 
@@ -74,12 +76,12 @@ def _usage_errors(parser):
 
 
 def _resolve_family(args, parser):
-    """Return (family label, param, spec builder over (param, mu)); param is nan for --q."""
+    """Return (family label, param, spec builder over (param, mu), q); param is nan for --q."""
     if args.q is not None:
         if args.family not in (None, "custom"):
             parser.error("--q is only valid with --family custom")
         q = _parse_q(args.q, parser)
-        return "Custom", math.nan, lambda _, mu: ch.ChannelSpec(q, mu)
+        return "Custom", math.nan, lambda _, mu: ch.ChannelSpec(q, mu), q
     if args.family in (None, "custom"):
         parser.error(
             "a channel is required: --family symmetric|depolarizing --param P, "
@@ -87,8 +89,8 @@ def _resolve_family(args, parser):
         )
     if args.param is None:
         parser.error(f"--param is required with --family {args.family}")
-    family, build, _ = _FAMILIES[args.family]
-    return family, args.param, build
+    family, build, weights, _ = _FAMILIES[args.family]
+    return family, args.param, build, weights(args.param)
 
 
 def _search_config(args, seed: int) -> SearchConfig:
@@ -99,18 +101,14 @@ def _search_config(args, seed: int) -> SearchConfig:
     )
 
 
-def _capacity_pairs(result, args) -> list[tuple[str, object]]:
-    """The s_min, capacity, regime and method pairs of one capacity result."""
-    if args.per_qubit:
-        capacity = ("capacity_bits_per_qubit", result.chi_bits / 2.0)
-    else:
-        capacity = ("capacity_bits", result.chi_bits)
-    analytic = result.method is MOEMethod.ANALYTIC_CLOSED_FORM
+def _capacity_pairs(chi, s_min, regime, args) -> list[tuple[str, object]]:
+    """The s_min, capacity, regime and method pairs of one capacity answer."""
+    key = "capacity_bits_per_qubit" if args.per_qubit else "capacity_bits"
     return [
-        ("s_min_bits", result.s_min_bits),
-        capacity,
-        ("regime", result.regime.value),
-        ("method", "Analytic" if analytic else "Numeric"),
+        ("s_min_bits", s_min),
+        (key, chi / 2.0 if args.per_qubit else chi),
+        ("regime", regime.value),
+        ("method", "Numeric" if args.numeric else "Analytic"),
     ]
 
 
@@ -147,25 +145,34 @@ def _format_report(pairs, args) -> str:
     return "".join(f"{key}: {_text(value)}\n" for key, value in pairs)
 
 
-def _format_table(rows, args) -> str:
-    """Records as CSV under a header of the first row's keys, or as a JSON array."""
+def _format_table(records, args):
+    """Records as the text chunks of one table, _BLOCK records a chunk: CSV under
+    a header of the first record's keys, or a JSON array.  The chunks join to
+    the text of all records formatted at once."""
+    blocks = iter(lambda: list(itertools.islice(records, _BLOCK)), [])
+    for k, rows in enumerate(blocks):
+        if args.json:
+            # A block's array, brackets cut, holds its records as the whole array does.
+            yield ("," if k else "[") + _json([dict(row) for row in rows])[1:-3]
+        else:
+            header = [] if k else [[key for key, _ in rows[0]]]
+            lines = header + [[_text(value) for _, value in row] for row in rows]
+            yield "".join(",".join(line) + "\n" for line in lines)
     if args.json:
-        return _json([dict(row) for row in rows])
-    lines = [[key for key, _ in rows[0]]] + [[_text(value) for _, value in row] for row in rows]
-    return "".join(",".join(line) + "\n" for line in lines)
+        yield "\n]\n"
 
 
-def _write(text: str, args, parser) -> None:
-    """Write ``text`` to ``--out`` or standard output; a failed write exits 2."""
+def _write(chunks, args, parser) -> None:
+    """Write text ``chunks`` in turn to ``--out`` or standard output; a failed write exits 2."""
     to_file = args.out not in (None, "-")
     try:
         if to_file:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         elif sys.stdout is None:  # descriptor 1 was closed at start
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
         if not to_file and sys.stdout is not None:
@@ -182,7 +189,7 @@ def _write(text: str, args, parser) -> None:
 
 def _single_point(args, parser):
     """Leading report pairs, channel and search config of one point."""
-    family, param, build = _resolve_family(args, parser)
+    family, param, build, _ = _resolve_family(args, parser)
     with _usage_errors(parser):
         spec = build(param, args.mu)
         cfg = _search_config(args, args.seed)
@@ -200,14 +207,15 @@ def _report_point(pairs, state, converged: bool, args, parser) -> int:
     if not converged:
         sys.stderr.write(text)
         return 3
-    _write(text, args, parser)
+    _write((text,), args, parser)
     return 0
 
 
 def _run_capacity(args, parser) -> int:
     pairs, spec, cfg = _single_point(args, parser)
     result = two_qubit_capacity(spec, cfg, force_numeric=args.numeric)
-    pairs += _capacity_pairs(result, args) + [("converged", result.converged)]
+    pairs += _capacity_pairs(result.chi_bits, result.s_min_bits, result.regime, args)
+    pairs.append(("converged", result.converged))
     return _report_point(pairs, result.state, result.converged, args, parser)
 
 
@@ -218,11 +226,11 @@ def _run_sweep(args, parser) -> int:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 
     if args.sweep_param:
-        family, build, upper = _FAMILIES[args.family]
+        family, build, weights, upper = _FAMILIES[args.family]
         lo = args.param_min if args.param_min is not None else 0.0
         hi = args.param_max if args.param_max is not None else upper
     else:
-        family, param, build = _resolve_family(args, parser)
+        family, param, build, q = _resolve_family(args, parser)
         lo, hi = args.mu_min, args.mu_max
     option = "--param" if args.sweep_param else "--mu"
     for end, value in (("min", lo), ("max", hi)):
@@ -230,31 +238,36 @@ def _run_sweep(args, parser) -> int:
             parser.error(f"{option}-{end} must be finite, got {value}")
     if not lo <= hi:
         parser.error(f"the sweep range needs min <= max, got [{lo}, {hi}]")
+    grid = np.linspace(lo, hi, args.steps)
+    if args.sweep_param:
+        params, mus, q = grid, np.broadcast_to(args.mu, grid.shape), np.stack(weights(grid), -1)
+    else:
+        params, mus, q = np.broadcast_to(param, grid.shape), grid, np.array([q])
     with _usage_errors(parser):
         _search_config(args, args.seed)  # the base seed, before --numeric points derive theirs
-        params, specs = [], []
-        for v in np.linspace(lo, hi, args.steps):
-            point_param, point_mu = (float(v), args.mu) if args.sweep_param else (param, float(v))
-            params.append(point_param)
-            specs.append(build(point_param, point_mu))
+        # One check of the whole grid; its first bad point raises its builder's error.
+        for k in np.flatnonzero(~ch._accepted(q, mus))[:1]:
+            build(float(params[k]), float(mus[k]))
+    converged = True
+
+    def search(k):
+        nonlocal converged
+        cfg = _search_config(args, checks.point_seed(args.seed, k))
+        spec = build(float(params[k]), float(mus[k]))
+        result = two_qubit_capacity(spec, cfg, force_numeric=True)
+        converged = converged and result.converged
+        return result.chi_bits, result.s_min_bits, result.regime
 
     if args.numeric:
-        seeds = (checks.point_seed(args.seed, index) for index in range(len(specs)))
-        results = (
-            two_qubit_capacity(spec, _search_config(args, seed), force_numeric=True)
-            for spec, seed in zip(specs, seeds)
-        )
+        answers = map(search, range(args.steps))
     else:
-        results = _closed_form(specs)
-    rows, converged = [], True
-    for point_param, spec, result in zip(params, specs, results):
-        rows.append(
-            [("family", family), ("param", point_param), ("mu", spec.mu)]
-            + _capacity_pairs(result, args)
-        )
-        converged = converged and result.converged
-
-    _write(_format_table(rows, args), args, parser)
+        rows = _closed_form_rows(np.broadcast_to(q, (args.steps, 4)), mus)
+        answers = ((chi, s_min, regime) for chi, s_min, _, regime in rows)
+    records = (
+        [("family", family), ("param", p), ("mu", mu), *_capacity_pairs(*answer, args)]
+        for p, mu, answer in zip(map(float, params.flat), map(float, mus.flat), answers)
+    )
+    _write(_format_table(records, args), args, parser)
     if not converged:
         print("warning: numeric search did not converge at every grid point", file=sys.stderr)
         return 3
@@ -293,7 +306,7 @@ def _threshold_report(p: float, mu_t: float) -> list[tuple[str, object]]:
 def _run_threshold(args, parser) -> int:
     with _usage_errors(parser):
         mu_t = threshold(args.p)
-    _write(_format_report(_threshold_report(args.p, mu_t), args), args, parser)
+    _write((_format_report(_threshold_report(args.p, mu_t), args),), args, parser)
     return 0
 
 
@@ -327,7 +340,7 @@ def _run_verify(args, parser) -> int:
         status = "PASS" if ok else "FAIL"
         lines.append(f"[{status}] {name}: residual={residual:.6e} (tol {tol:g})")
     lines.append(f"verify: {passed}/{len(checks.CHECKS)} checks passed")
-    _write("".join(f"{line}\n" for line in lines), args, parser)
+    _write((f"{line}\n" for line in lines), args, parser)
     return 0 if passed == len(checks.CHECKS) else 1
 
 
@@ -445,8 +458,10 @@ def _require_writable_out(path: str | None, parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     # Each command reports its errors with its own usage line.
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     _require_writable_out(args.out, args.parser)
     return args.handler(args, args.parser)
 

@@ -143,7 +143,7 @@ def _superoperator(spec: ChannelSpec) -> np.ndarray:
     C order keeps the path, and so the bits, of the products ``rho @ sup``.
     """
     units = np.eye(16, dtype=complex).reshape(1, 16, 4, 4)
-    outputs = _weigh_terms(_joint_weights((spec,)), _kraus_terms(units))
+    outputs = _weigh_terms(_joint_weights([spec.q], [spec.mu]), _kraus_terms(units))
     return np.ascontiguousarray(outputs[0].reshape(16, 16))
 
 

@@ -519,7 +519,7 @@ def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
     # The Holevo pass of the one-stage kernel, one block at a time.
     for start in range(0, len(specs), capacity._BLOCK):
         block = slice(start, start + capacity._BLOCK)
-        weights = _joint_weights(specs[block])
+        weights = _joint_weights([s.q for s in specs[block]], [s.mu for s in specs[block]])
         outputs = kraus_sum_oracle(weights, capacity._CANDIDATE_INPUTS[winners[block]])
         entropies = von_neumann_entropy_bits(outputs.reshape(-1, 4, 4)).reshape(len(weights), 17)
         held = np.add.accumulate(capacity._UNIFORM_PRIORS * entropies[:, 1:], axis=1)[:, -1]

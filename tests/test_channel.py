@@ -6,8 +6,11 @@ import pytest
 from paulimem.capacity import _CANDIDATES, candidate_entropies
 from paulimem.channel import (
     ChannelSpec,
+    _accepted,
+    _depolarizing_q,
     _joint_weights,
     _kraus_terms,
+    _symmetric_q,
     _weigh_terms,
     apply,
     kraus_operators,
@@ -43,14 +46,14 @@ def test_spec_validation():
 
 
 def test_joint_degenerate_weights():
-    p = _joint_weights((ChannelSpec((1.0, 0.0, 0.0, 0.0), 0.7),)).reshape(4, 4)
+    p = _joint_weights([(1.0, 0.0, 0.0, 0.0)], [0.7]).reshape(4, 4)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.abs(p - expected).max() < 1e-15
 
 
 def test_joint_direct_substitution():
-    p = _joint_weights((ChannelSpec((0.5, 0.5, 0.0, 0.0), 0.5),)).reshape(4, 4)
+    p = _joint_weights([(0.5, 0.5, 0.0, 0.0)], [0.5]).reshape(4, 4)
     assert abs(p[0, 0] - 0.375) < 1e-15
     assert abs(p[1, 1] - 0.375) < 1e-15
     assert abs(p[0, 1] - 0.125) < 1e-15
@@ -62,7 +65,7 @@ def test_joint_perfect_memory_is_diagonal():
     rng = np.random.default_rng(31)
     for _ in range(10):
         spec = ChannelSpec(random_spec(rng).q, 1.0)
-        p = _joint_weights((spec,)).reshape(4, 4)
+        p = _joint_weights([spec.q], [spec.mu]).reshape(4, 4)
         assert np.abs(p - np.diag(spec.q)).max() < 1e-15
 
 
@@ -70,7 +73,7 @@ def test_joint_marginals():
     rng = np.random.default_rng(32)
     for _ in range(50):
         spec = random_spec(rng)
-        p = _joint_weights((spec,)).reshape(4, 4)
+        p = _joint_weights([spec.q], [spec.mu]).reshape(4, 4)
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.abs(p.sum(axis=1) - np.asarray(spec.q)).max() < 1e-12
@@ -205,7 +208,7 @@ def test_apply_has_the_bits_of_the_one_stage_sum():
         else:
             spec = random_spec(rng)
             stack = np.stack([random_density_matrix(rng) for _ in range(m)])
-        expected = kraus_sum_oracle(_joint_weights((spec,)), stack[None])[0]
+        expected = kraus_sum_oracle(_joint_weights([spec.q], [spec.mu]), stack[None])[0]
         assert apply(spec, stack).tobytes() == expected.tobytes()
         assert apply(spec, stack[0]).tobytes() == expected[0].tobytes()
 
@@ -343,6 +346,45 @@ def test_memoryless_channel_factorizes():
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def _builds(build, *args):
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+EDGES = [0.0, -0.0, 0.3, 0.5, 1.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf]
+EDGES += [float(np.nextafter(x, d)) for x in (0.0, 0.5, 1.0) for d in (-1.0, 2.0)]
+
+
+@pytest.mark.parametrize(
+    ("build", "weights"),
+    [(preset_symmetric, _symmetric_q), (preset_depolarizing, _depolarizing_q)],
+)
+def test_accepted_grid_rows_are_the_points_a_family_builds(build, weights):
+    # A sweep checks its grid with _accepted and calls the builder only on the
+    # first rejected row, so the two must agree on every point.
+    params = np.array(EDGES)
+    q = np.stack(weights(params), axis=-1)
+    for mu in EDGES:
+        accepted = _accepted(q, np.full(len(EDGES), mu)).tolist()
+        assert accepted == [_builds(build, p, mu) for p in EDGES], mu
+
+
+def test_accepted_rows_are_the_specs_channelspec_builds():
+    rng = np.random.default_rng(53)
+    q = rng.dirichlet(np.ones(4), 400)
+    # Sums within and just beyond WEIGHT_SUM_TOL, a negative and a non-finite weight.
+    q[:300, 0] += rng.choice([-2e-12, -1e-12, 0.0, 1e-12, 2e-12], 300)
+    q[300:310, 1] = -1e-300
+    q[310:320, 2] = rng.choice([np.nan, np.inf, -np.inf, 1e308], 10)
+    mu = rng.choice([-1e-300, 0.0, 0.4, 1.0, 1.0 + 2e-16, np.nan], 400)
+    expected = [_builds(ChannelSpec, tuple(row), m) for row, m in zip(q.tolist(), mu.tolist())]
+    assert _accepted(q, mu).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
 def test_preset_symmetric_values():
     assert preset_symmetric(0.5, 0.3).q == (0.5, 0.5, 0.0, 0.0)
     assert preset_symmetric(0.25, 0.3).q == (0.25, 0.25, 0.25, 0.25)
@@ -367,7 +409,7 @@ def test_candidate_entropies_have_the_bits_of_one_candidate_at_a_time():
     # One offset bincount and one Shannon pass give each candidate the bits
     # of its own bincount and the per-row formula.
     for spec in mixed_channels(np.random.default_rng(47), 300):
-        weights = _joint_weights((spec,))[0]
+        weights = _joint_weights([spec.q], [spec.mu])[0]
         alone = [
             shannon_row_oracle(np.bincount(labels, weights, minlength=4))
             for _, labels in _CANDIDATES

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from paulimem import checks, cli
 from paulimem.capacity import _BLOCK, two_qubit_capacity
-from paulimem.channel import ChannelSpec
+from paulimem.channel import ChannelSpec, preset_depolarizing, preset_symmetric
 from paulimem.cli import main
 
 
@@ -367,7 +368,7 @@ def _unreachable(*args, **kwargs):
 
 #: The CLI's computations, to be patched to fail if a rejected argv reaches one.
 COMPUTATIONS = dict.fromkeys(
-    ("two_qubit_capacity", "_closed_form", "minimize_output_entropy", "crossing_mu"),
+    ("two_qubit_capacity", "_closed_form_rows", "minimize_output_entropy", "crossing_mu"),
     _unreachable,
 )
 UNREACHABLE_CHECKS = tuple((name, _unreachable, tol) for name, _, tol in checks.CHECKS)
@@ -381,6 +382,7 @@ def test_argument_errors_exit_2(tmp_path):
         ["capacity", "--family", "symmetric", "--param", "0.7", "--mu", "0.5"],
         ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "1.5"],
         ["capacity", "--family", "symmetric", "--mu", "0.5"],
+        ["capacity", *point, "--bogus"],
         ["capacity", "--mu", "0.5"],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "1"],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3",
@@ -437,6 +439,13 @@ def test_argument_errors_exit_2(tmp_path):
     assert errors["capacity --family symmetric --param 0.3"] == (
         "paulimem capacity: error: the following arguments are required: --mu"
     )
+    # An unknown option is reported by the command it was given to.
+    assert errors["capacity --family symmetric --param 0.3 --mu 0.5 --bogus"] == (
+        "paulimem capacity: error: unrecognized arguments: --bogus"
+    )
+    assert errors["sweep-p --family symmetric --mu 0.5 --q 1,0,0,0 --steps 2"] == (
+        "paulimem sweep-p: error: unrecognized arguments: --q 1,0,0,0"
+    )
     # A non-finite weight is named as such, not as a bad sum.
     assert errors["capacity --q nan,0.5,0.25,0.25 --mu 0.3"] == (
         "paulimem capacity: error: q must be finite, got nan"
@@ -486,6 +495,36 @@ def test_sweep_names_a_non_finite_bound_by_its_option():
 def test_failed_write_exits_2(args):
     error = assert_usage_error(args + ["--out", "/dev/full"])
     assert error.endswith("error: cannot write /dev/full: No space left on device")
+
+
+def _traced_peak(argv):
+    """Peak traced Python allocation, in bytes, of one in-process CLI call."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_closed_form_sweep_holds_its_rows_in_bounded_memory(tmp_path):
+    out = ["--out", str(tmp_path / "sweep.csv")]
+    _traced_peak(SWEEP_MU + out)  # one-time allocations: parser, caches
+    small = _traced_peak(SWEEP_MU[:-1] + ["1000"] + out)
+    large = _traced_peak(SWEEP_MU[:-1] + ["10000"] + out)
+    assert large - small <= 1_000_000, (small, large)
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 10_001
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_sweep_that_fails_midway_through_its_rows_exits_2():
+    # 5 000 rows overflow the file buffer, so a write fails while blocks remain.
+    code, out, err = run_captured(SWEEP_MU[:-1] + ["5000", "--out", "/dev/full"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "paulimem sweep-mu: error: cannot write /dev/full: No space left on device"
+    )
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 def test_closed_stdout_exits_2_without_traceback():
@@ -837,43 +876,48 @@ def _point_text(rows, as_json):
     return "".join(",".join(line) + "\n" for line in [list(rows[0]), *cells])
 
 
+#: Each family's spec builder and weight range.
+PRESETS = {"symmetric": (preset_symmetric, 0.5), "depolarizing": (preset_depolarizing, 1.0)}
+#: X-optimal, Y-optimal and Bell-optimal custom channels.
+CUSTOM_Q = [(0.5, 0.05, 0.4, 0.05), (0.5, 0.05, 0.05, 0.4), (0.4, 0.3, 0.2, 0.1)]
+
+
 def _sweep_cases(seed):
-    """Seeded sweeps: (argv, family label, spec builder, grid points)."""
+    """Seeded sweeps: (argv, family label, spec builder, grid points).
+
+    Each symmetric grid has an end on the paper's threshold ``mu = |4p - 1|``.
+    """
     rng = np.random.default_rng(seed)
     steps = [2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
-    custom = [(0.5, 0.05, 0.4, 0.05), (0.5, 0.05, 0.05, 0.4), (0.4, 0.3, 0.2, 0.1)]
     for k in range(144):
         n = steps[k % 4]
         kind = ("symmetric", "depolarizing", "custom")[k // 4 % 3]
-        if kind == "custom" or k // 12 % 2 == 0:  # sweep-mu
-            if kind == "custom":
-                weights = custom[k % 3] if k % 24 < 12 else rng.dirichlet(np.ones(4)).tolist()
-                text = ",".join(map(repr, weights))
-                q = tuple(w / sum(weights) for w in weights)  # as --q renormalizes
-                family, param, build = "Custom", math.nan, lambda _, mu, q=q: ChannelSpec(q, mu)
-                channel = ["--q", text]
-            else:
-                upper = 0.5 if kind == "symmetric" else 1.0
-                param = float(rng.uniform(0.0, upper))
-                family, build = kind.capitalize(), getattr(cli.ch, f"preset_{kind}")
-                channel = ["--family", kind, "--param", repr(param)]
-            lo, hi = sorted(float(x) for x in rng.uniform(0.0, 1.0, 2))
-            if kind == "symmetric":  # a grid end on the paper's threshold mu = |4p - 1|
-                lo, hi = (abs(4 * param - 1), max(hi, abs(4 * param - 1))) if k % 2 else (
-                    min(lo, abs(4 * param - 1)), abs(4 * param - 1))
-            argv = ["sweep-mu", *channel, "--mu-min", repr(lo), "--mu-max", repr(hi)]
-            points = [(param, float(v)) for v in np.linspace(lo, hi, n)]
+        if kind == "custom":
+            weights = CUSTOM_Q[k % 3] if k % 24 < 12 else rng.dirichlet(np.ones(4)).tolist()
+            q = tuple(w / sum(weights) for w in weights)  # as --q renormalizes
+            family, param, build = "Custom", math.nan, lambda _, mu, q=q: ChannelSpec(q, mu)
+            channel = ["--q", ",".join(map(repr, weights))]
         else:
-            upper = 0.5 if kind == "symmetric" else 1.0
+            (build, upper), family = PRESETS[kind], kind.capitalize()
+        if kind == "custom" or k // 12 % 2 == 0:
+            if kind != "custom":
+                param = float(rng.uniform(0.0, upper))
+                channel = ["--family", kind, "--param", repr(param)]
+            lo, hi = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+            if kind == "symmetric":
+                edge = abs(4.0 * param - 1.0)
+                lo, hi = (edge, max(hi, edge)) if k % 2 else (min(lo, edge), edge)
+            argv = ["sweep-mu", *channel, "--mu-min", repr(lo), "--mu-max", repr(hi)]
+            points = [(param, mu) for mu in np.linspace(lo, hi, n).tolist()]
+        else:
             mu = float(rng.uniform(0.0, 1.0))
-            lo, hi = sorted(float(x) for x in rng.uniform(0.0, upper, 2))
-            if kind == "symmetric":  # a grid end on p = (1 -+ mu) / 4
+            lo, hi = sorted(rng.uniform(0.0, upper, 2).tolist())
+            if kind == "symmetric":  # p = (1 - mu) / 4 or (1 + mu) / 4
                 lo, hi = ((1.0 - mu) / 4.0, max(hi, (1.0 - mu) / 4.0)) if k % 2 else (
                     min(lo, (1.0 + mu) / 4.0), (1.0 + mu) / 4.0)
-            family, build = kind.capitalize(), getattr(cli.ch, f"preset_{kind}")
             argv = ["sweep-p", "--family", kind, "--mu", repr(mu),
                     "--param-min", repr(lo), "--param-max", repr(hi)]
-            points = [(float(v), mu) for v in np.linspace(lo, hi, n)]
+            points = [(p, mu) for p in np.linspace(lo, hi, n).tolist()]
         yield [*argv, "--steps", str(n)], family, build, points
 
 
