@@ -327,23 +327,6 @@ def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
             yield chi, s_min, winner, regime
 
 
-def _closed_form(specs) -> Iterator[CapacityResult]:
-    """``_closed_form_rows`` of the sequence ``specs`` as capacity results, each
-    with its own copy of the winner's state and covariant ensemble."""
-    q, mu = np.array([spec.q for spec in specs]), np.array([spec.mu for spec in specs])
-    for chi, s_min, winner, regime in _closed_form_rows(q, mu):
-        yield CapacityResult(
-            chi_bits=chi,
-            s_min_bits=s_min,
-            ensemble=Ensemble(_CANDIDATE_INPUTS[winner, 1:].copy(), _UNIFORM_PRIORS.copy()),
-            saturation_gap=abs(chi - (2.0 - s_min)),
-            state=_CANDIDATES[winner][0].copy(),
-            regime=regime,
-            method=MOEMethod.ANALYTIC_CLOSED_FORM,
-            converged=True,
-        )
-
-
 def two_qubit_capacity(
     spec: ChannelSpec,
     config: SearchConfig | None = None,
@@ -351,28 +334,27 @@ def two_qubit_capacity(
 ) -> CapacityResult:
     """Two-qubit capacity with the ensemble that attains it.
 
-    Every channel takes the closed form: the best of four candidate
-    inputs, the Z, X and Y product eigenstates and the Bell state.  For
-    the ``q0 = q1, q2 = q3`` family that is the paper's optimal input,
-    and ``symmetric.capacity_symmetric`` is its independent oracle.
-    ``force_numeric`` runs the global search with ``config`` in its
-    place, and the regime then still comes from the four candidates.
-    The saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for
-    every Pauli memory channel regardless of route.
+    Every channel takes the closed form, one row of the pass the sweeps
+    stream: the best of four candidate inputs, the Z, X and Y product
+    eigenstates and the Bell state.  For the ``q0 = q1, q2 = q3`` family
+    that is the paper's optimal input, and ``capacity_symmetric`` is its
+    independent oracle.  ``force_numeric`` runs the global search with
+    ``config`` in its place; the regime still comes from the row.  The
+    saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for every
+    Pauli memory channel regardless of route.
     """
-    if not force_numeric:
-        return next(_closed_form((spec,)))
-    _, _, regime = _candidate_optimum(candidate_entropies(spec))
-    result = minimize_output_entropy(spec, config)
-    ensemble = covariant_ensemble(result.state)
-    chi = holevo_chi(spec, ensemble)
+    [(chi, s_min, winner, regime)] = _closed_form_rows(np.array([spec.q]), np.array([spec.mu]))
+    if force_numeric:
+        found = minimize_output_entropy(spec, config)
+        ensemble = covariant_ensemble(found.state)
+        chi, s_min = holevo_chi(spec, ensemble), found.entropy_bits
+        state, method, converged = found.state, found.method, found.converged
+    else:
+        # Each result owns its copies of the winner's state and covariant ensemble.
+        ensemble = Ensemble(_CANDIDATE_INPUTS[winner, 1:].copy(), _UNIFORM_PRIORS.copy())
+        state, converged = _CANDIDATES[winner][0].copy(), True
+        method = MOEMethod.ANALYTIC_CLOSED_FORM
     return CapacityResult(
-        chi_bits=chi,
-        s_min_bits=result.entropy_bits,
-        ensemble=ensemble,
-        saturation_gap=abs(chi - (2.0 - result.entropy_bits)),
-        state=result.state,
-        regime=regime,
-        method=result.method,
-        converged=result.converged,
+        chi_bits=chi, s_min_bits=s_min, ensemble=ensemble, saturation_gap=abs(chi - (2.0 - s_min)),
+        state=state, regime=regime, method=method, converged=converged,
     )

@@ -32,14 +32,6 @@ Q_RENORM_TOL = 1e-9
 MAX_STEPS = 1_000_000
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _fmt_amplitudes(state: np.ndarray) -> str:
-    return ", ".join(f"{z.real:.9g}{z.imag:+.9g}j" for z in state)
-
-
 def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -132,9 +124,9 @@ def _text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.9g}"
     if isinstance(value, list):
-        return ", ".join(_fmt(v) for v in value)
+        return ", ".join(f"{v:.9g}" for v in value)
     return str(value)
 
 
@@ -202,7 +194,8 @@ def _report_point(pairs, state, converged: bool, args, parser) -> int:
     if args.json:
         pairs.append(("state", [[z.real, z.imag] for z in state]))
     else:
-        pairs.append(("state_amplitudes", _fmt_amplitudes(state)))
+        amplitudes = ", ".join(f"{z.real:.9g}{z.imag:+.9g}j" for z in state)
+        pairs.append(("state_amplitudes", amplitudes))
     text = _format_report(pairs, args)
     if not converged:
         sys.stderr.write(text)
@@ -381,6 +374,16 @@ def _add_sweep_options(sp):
     sp.add_argument("--numeric", action="store_true", help="run the search, not the closed form")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which reports the unrecognized arguments given after it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no state in it."""
@@ -388,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="paulimem",
         description="Two-qubit capacity of Pauli channels with correlated noise",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     sp = sub.add_parser("capacity", help="capacity at a single channel point")
     _add_channel_options(sp)
@@ -458,10 +461,7 @@ def _require_writable_out(path: str | None, parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
-    # Each command reports its errors with its own usage line.
-    if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = _build_parser().parse_args(argv)
     _require_writable_out(args.out, args.parser)
     return args.handler(args, args.parser)
 

@@ -84,8 +84,9 @@ class MOEResult:
     iterations: int
 
 
-# Warm-start angles: the four computational basis states and the four
-# Bell states, so the known candidate optima are always examined.
+# Warm-start angles: the four computational basis states and the four Bell
+# states, so the Z and Bell candidates are always examined.  The X and Y
+# candidates |++> and |+i +i> are not; the search reaches them from its draws.
 _WARM_STARTS = (
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),                       # |00>
     (_HALF_PI, 0.0, 0.0, 0.0, 0.0, 0.0),                  # |01>

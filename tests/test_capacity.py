@@ -17,7 +17,7 @@ from paulimem.capacity import (
     _CANDIDATES,
     Ensemble,
     Regime,
-    _closed_form,
+    _closed_form_rows,
     candidate_entropies,
     covariant_ensemble,
     crossing_mu,
@@ -437,6 +437,22 @@ def _stack_channels(rng, n: int, beside=lambda rng: rng.uniform(-1e-9, 1e-9)) ->
     return specs
 
 
+def _rows(specs) -> list:
+    """``_closed_form_rows`` of the sequence ``specs``, streamed as the sweeps stream them."""
+    return list(_closed_form_rows(np.array([s.q for s in specs]), np.array([s.mu for s in specs])))
+
+
+def _row_bits(row) -> tuple:
+    """The bits a single point reports of one ``(chi, s_min, winner, regime)`` row."""
+    chi, s_min, winner, regime = row
+    ensemble = capacity._CANDIDATE_INPUTS[winner, 1:]
+    gap = abs(chi - (2.0 - s_min))
+    return (
+        chi.hex(), s_min.hex(), gap.hex(), regime, _CANDIDATES[winner][0].tobytes(),
+        ensemble.tobytes(),
+    )
+
+
 def _bits(result) -> tuple:
     return (
         result.chi_bits.hex(), result.s_min_bits.hex(), result.saturation_gap.hex(),
@@ -447,18 +463,19 @@ def _bits(result) -> tuple:
 @pytest.mark.parametrize("n", [1, 2, capacity._BLOCK + 1, 3 * capacity._BLOCK + 5])
 def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
     specs = _stack_channels(np.random.default_rng(100 + n), n)
-    stacked = list(_closed_form(specs))
-    assert len(stacked) == n
-    for spec, result in zip(specs, stacked):
-        assert _bits(result) == _bits(two_qubit_capacity(spec))
+    rows = _rows(specs)
+    assert len(rows) == n
+    for spec, row in zip(specs, rows):
+        result = two_qubit_capacity(spec)
+        assert _row_bits(row) == _bits(result)
         # The public Holevo quantity goes through the same stacked kernel.
         assert holevo_chi(spec, result.ensemble).hex() == result.chi_bits.hex()
-    regimes = {result.regime for result in stacked}
+    regimes = {regime for _, _, _, regime in rows}
     assert n < 4 or regimes == {Regime.PRODUCT, Regime.ENTANGLED, Regime.BOUNDARY}
 
 
 def test_closed_form_results_own_their_arrays():
-    first, second = _closed_form([preset_symmetric(0.3, 0.5)] * 2)
+    first, second = (two_qubit_capacity(preset_symmetric(0.3, 0.5)) for _ in range(2))
     first.state[:] = 0.0
     first.ensemble.states[:] = 0.0
     first.ensemble.priors[:] = 0.0
@@ -496,7 +513,7 @@ def test_candidate_terms_are_a_read_only_constant_that_sweeps_leave_unchanged():
     before = terms.tobytes()
     # X-optimal below its threshold, Bell-optimal above it.
     sweep = [ChannelSpec((0.5, 0.05, 0.4, 0.05), mu) for mu in np.linspace(0.0, 1.0, 101)]
-    regimes = {result.regime for result in _closed_form(sweep)}
+    regimes = {regime for _, _, _, regime in _rows(sweep)}
     assert {Regime.PRODUCT, Regime.ENTANGLED} <= regimes
     # The block scaled a gathered copy of the terms in place, never the constant.
     assert terms.tobytes() == before
@@ -508,12 +525,12 @@ def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
         np.random.default_rng(49), 3200,
         beside=lambda rng: rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -6),
     )
-    results = list(_closed_form(specs))
+    rows = _rows(specs)
     winners = []
-    for spec, result in zip(specs, results):
+    for spec, row in zip(specs, rows):
         winner, s_min, regime = capacity._candidate_optimum(candidate_entropies(spec))
-        assert result.state.tobytes() == _CANDIDATES[winner][0].tobytes()
-        assert (result.s_min_bits.hex(), result.regime) == (s_min.hex(), regime)
+        assert (row[1].hex(), *row[2:]) == (s_min.hex(), winner, regime)
+        assert _row_bits(row) == _bits(two_qubit_capacity(spec))
         winners.append(winner)
     assert set(winners) == set(range(len(_CANDIDATES)))
     # The Holevo pass of the one-stage kernel, one block at a time.
@@ -523,8 +540,8 @@ def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
         outputs = kraus_sum_oracle(weights, capacity._CANDIDATE_INPUTS[winners[block]])
         entropies = von_neumann_entropy_bits(outputs.reshape(-1, 4, 4)).reshape(len(weights), 17)
         held = np.add.accumulate(capacity._UNIFORM_PRIORS * entropies[:, 1:], axis=1)[:, -1]
-        for chi, result in zip((entropies[:, 0] - held).tolist(), results[block]):
-            assert result.chi_bits.hex() == chi.hex()
+        for chi, row in zip((entropies[:, 0] - held).tolist(), rows[block]):
+            assert row[0].hex() == chi.hex()
 
 
 def test_a_closed_form_block_makes_one_eigvalsh_call():
@@ -535,14 +552,13 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
         preset_symmetric(0.3, 0.9),
     ] * (capacity._BLOCK // 4)
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        results = list(_closed_form(specs))
+        rows = _rows(specs)
     # The candidate inputs were checked at import; only the outputs are diagonalized,
     # one per distinct input of each channel's winner.
     assert eigvalsh.call_count == 1
     width = capacity._DISTINCT_INPUTS.shape[1]
     assert eigvalsh.call_args.args[0].shape == (capacity._BLOCK * width, 4, 4)
-    winners = {result.state.tobytes() for result in results}
-    assert winners == {state.tobytes() for state, _ in _CANDIDATES}
+    assert {winner for _, _, winner, _ in rows} == set(range(len(_CANDIDATES)))
 
 
 #: The public API, as README lists it.
@@ -599,6 +615,23 @@ def _top_level_names(module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
     return names
+
+
+def _constructions(node, name: str) -> list[ast.Call]:
+    """The calls of ``name`` anywhere under the ``ast`` node ``node``."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+    ]
+
+
+def test_two_qubit_capacity_builds_every_capacity_result():
+    # Both routes share one constructor call, and with it one saturation-gap expression.
+    tree = ast.parse(inspect.getsource(capacity))
+    [function] = [node for node in tree.body if getattr(node, "name", None) == "two_qubit_capacity"]
+    assert len(_constructions(tree, "CapacityResult")) == 1
+    assert len(_constructions(function, "CapacityResult")) == 1
+    assert "_closed_form" not in _top_level_names(capacity)
 
 
 def test_capacity_owns_the_candidates_and_the_regime_rule():

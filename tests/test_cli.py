@@ -383,6 +383,7 @@ def test_argument_errors_exit_2(tmp_path):
         ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", "1.5"],
         ["capacity", "--family", "symmetric", "--mu", "0.5"],
         ["capacity", *point, "--bogus"],
+        ["--bogus", "capacity", *point],
         ["capacity", "--mu", "0.5"],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "1"],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3",
@@ -439,9 +440,13 @@ def test_argument_errors_exit_2(tmp_path):
     assert errors["capacity --family symmetric --param 0.3"] == (
         "paulimem capacity: error: the following arguments are required: --mu"
     )
-    # An unknown option is reported by the command it was given to.
+    # An unknown option is reported by the command it was given to, or by the
+    # top-level parser when it comes before the command.
     assert errors["capacity --family symmetric --param 0.3 --mu 0.5 --bogus"] == (
         "paulimem capacity: error: unrecognized arguments: --bogus"
+    )
+    assert errors["--bogus capacity --family symmetric --param 0.3 --mu 0.5"] == (
+        "paulimem: error: unrecognized arguments: --bogus"
     )
     assert errors["sweep-p --family symmetric --mu 0.5 --q 1,0,0,0 --steps 2"] == (
         "paulimem sweep-p: error: unrecognized arguments: --q 1,0,0,0"
