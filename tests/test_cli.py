@@ -123,6 +123,36 @@ state_amplitudes: 0.707106781+0j, 0+0j, 0+0j, 0.707106781+0j
   ]
 }
 """,
+    # Exact zero weights and mu = 1: the closed form's signed zeros, at full precision.
+    "capacity --q 1,0,0,0 --mu 1 --json": """\
+{
+  "family": "Custom",
+  "mu": 1.0,
+  "s_min_bits": 0.0,
+  "capacity_bits": 1.9999999999999996,
+  "regime": "Boundary",
+  "method": "Analytic",
+  "converged": true,
+  "state": [
+    [
+      0.7071067811865475,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.7071067811865475,
+      0.0
+    ]
+  ]
+}
+""",
     "sweep-mu --family symmetric --param 0.35 --steps 21": """\
 family,param,mu,s_min_bits,capacity_bits,regime,method
 Symmetric,0.35,0,1.7625818,0.237418202,Product,Analytic
@@ -200,6 +230,110 @@ Symmetric,0.35,1,0,2,Entangled,Analytic
     "mu": 0.5,
     "s_min_bits": 0.0,
     "capacity_bits": 2.0,
+    "regime": "Product",
+    "method": "Analytic"
+  }
+]
+""",
+    # Zero weights at both ends of the family, at full precision.
+    "sweep-p --family symmetric --mu 0.3 --steps 11 --json": """\
+[
+  {
+    "family": "Symmetric",
+    "param": 0.0,
+    "mu": 0.3,
+    "s_min_bits": 1.6017132519074586e-16,
+    "capacity_bits": 1.9999999999999998,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.05,
+    "mu": 0.3,
+    "s_min_bits": 0.8933940886681888,
+    "capacity_bits": 1.1066059113318112,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.1,
+    "mu": 0.3,
+    "s_min_bits": 1.387236648446058,
+    "capacity_bits": 0.6127633515539412,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.15000000000000002,
+    "mu": 0.3,
+    "s_min_bits": 1.700242249708427,
+    "capacity_bits": 0.2997577502915725,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.2,
+    "mu": 0.3,
+    "s_min_bits": 1.8195343460294193,
+    "capacity_bits": 0.18046565397058134,
+    "regime": "Entangled",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.25,
+    "mu": 0.3,
+    "s_min_bits": 1.830301191921417,
+    "capacity_bits": 0.16969880807858195,
+    "regime": "Entangled",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.30000000000000004,
+    "mu": 0.3,
+    "s_min_bits": 1.8195343460294193,
+    "capacity_bits": 0.18046565397058156,
+    "regime": "Entangled",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.35000000000000003,
+    "mu": 0.3,
+    "s_min_bits": 1.700242249708427,
+    "capacity_bits": 0.2997577502915727,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.4,
+    "mu": 0.3,
+    "s_min_bits": 1.3872366484460579,
+    "capacity_bits": 0.6127633515539419,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.45,
+    "mu": 0.3,
+    "s_min_bits": 0.8933940886681886,
+    "capacity_bits": 1.1066059113318114,
+    "regime": "Product",
+    "method": "Analytic"
+  },
+  {
+    "family": "Symmetric",
+    "param": 0.5,
+    "mu": 0.3,
+    "s_min_bits": 1.6017132519074586e-16,
+    "capacity_bits": 1.9999999999999998,
     "regime": "Product",
     "method": "Analytic"
   }
