@@ -7,12 +7,13 @@ entropy.  The Holevo quantity of that ensemble therefore equals
 the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
 family included, takes that state from one closed form: the best of the
 four candidate inputs below, whose Holevo inputs and their Kraus terms
-are built and checked once, at import.  The closed form weighs and
-diagonalizes the output of each byte-distinct input once and reuses it
-for every byte-equal member; ``holevo_chi`` checks a caller's ensemble
-and stays dense over every member's output.  One rule, the best axis
-candidate's entropy minus the Bell state's, sets a channel's regime and,
-bisected over ``mu``, its regime switch ``crossing_mu``.
+are built and checked once, at import.  The closed form indexes each
+candidate's members by the label of their output state: it weighs and
+diagonalizes the average's output and one per label.  ``holevo_chi``
+checks a caller's ensemble and stays dense over every member's output.
+One rule, the best axis candidate's entropy minus the Bell state's, sets
+a channel's regime and, bisected over ``mu``, its regime switch
+``crossing_mu``.
 
 The four candidate inputs of ``candidate_entropies`` hold the minimal
 output entropy of every Pauli memory channel (Daems, PRA 76, 012310
@@ -269,20 +270,6 @@ def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
     return mid
 
 
-def _distinct_inputs(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only: each stack's byte-distinct rows in first-seen order, padded
-    with its first row to one width, and the index of every row among them."""
-    indices = []
-    for stack in stacks:
-        seen: dict[bytes, int] = {}
-        indices.append([seen.setdefault(row.tobytes(), len(seen)) for row in stack])
-    width = max(map(max, indices)) + 1
-    firsts = [[index.index(i) if i in index else 0 for i in range(width)] for index in indices]
-    rows = np.array(indices)
-    rows.flags.writeable = False
-    return _frozen(stacks[np.arange(len(stacks))[:, None], firsts]), rows
-
-
 #: Channels per stacked pass of ``_closed_form_rows``, which holds one block at a time.
 _BLOCK = 16
 
@@ -291,15 +278,20 @@ _BLOCK = 16
 _CANDIDATE_INPUTS = _frozen([_holevo_inputs(covariant_ensemble(c[0])) for c in _CANDIDATES])
 _UNIFORM_PRIORS = np.full(16, 1.0 / 16.0)
 _UNIFORM_PRIORS.flags.writeable = False
-#: Each candidate's byte-distinct Holevo inputs, the average first, ``(4, 10, 4, 4)``
-#: (the axis candidates have 6, padded with the average); ``_DISTINCT_ROWS[c, i]``
-#: is the index of ``_CANDIDATE_INPUTS[c, i]`` among them, and ``_CANDIDATE_TERMS``
-#: their ``(4, 10, 16, 4, 4)`` Kraus terms.  Byte-equal inputs have byte-equal
-#: outputs, so the closed form weighs and diagonalizes each distinct one once.
-_DISTINCT_INPUTS, _DISTINCT_ROWS = _distinct_inputs(_CANDIDATE_INPUTS)
+#: ``_LABEL_ROWS[c]``, ``[0, *(labels + 1)]``, indexes candidate ``c``'s Holevo
+#: inputs by output label among ``_LABEL_INPUTS[c]``: its average and the first
+#: member with each label, ``(4, 5, 4, 4)``, whose Kraus terms are ``_CANDIDATE_TERMS``.
+#: Members that share a label are equal up to signed zeros and have byte-equal
+#: outputs, so the closed form weighs and diagonalizes one output per label.
+_LABEL_ROWS = np.array([[0, *(labels + 1)] for _, labels in _CANDIDATES])
+_LABEL_ROWS.flags.writeable = False
+_LABEL_INPUTS = _frozen([
+    inputs[np.unique(rows, return_index=True)[1]]
+    for inputs, rows in zip(_CANDIDATE_INPUTS, _LABEL_ROWS)
+])
 # Stacked per candidate, so each candidate's terms are one contiguous block,
 # in the memory order _kraus_terms gives them, and a gather copies whole blocks.
-_CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _DISTINCT_INPUTS]))
+_CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _LABEL_INPUTS]))
 
 
 def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
@@ -308,8 +300,9 @@ def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
 
     The channels go through in blocks of _BLOCK: one broadcast builds their
     weights, one pass takes their candidate entropies, and one Holevo pass
-    weighs a copy of each channel's best candidate's distinct terms from
-    _CANDIDATE_TERMS.  A channel's row has the same bits in any block.
+    weighs a copy of each channel's best candidate's terms from
+    _CANDIDATE_TERMS, one per output label.  A channel's row has the same
+    bits in any block.
     """
     # Every block copies into one buffer, in the table's memory order: a fresh
     # array per block costs more in page faults than the copy itself.
@@ -322,7 +315,7 @@ def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
         terms = gathered[: len(winners)]
         for row, winner in zip(terms, winners):
             row[...] = _CANDIDATE_TERMS[winner]
-        chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _DISTINCT_ROWS[winners])
+        chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _LABEL_ROWS[winners])
         for chi, (winner, s_min, regime) in zip(chis.tolist(), optima):
             yield chi, s_min, winner, regime
 

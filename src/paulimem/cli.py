@@ -72,6 +72,8 @@ def _resolve_family(args, parser):
     if args.q is not None:
         if args.family not in (None, "custom"):
             parser.error("--q is only valid with --family custom")
+        if args.param is not None:
+            parser.error("--param is not valid with --q")
         q = _parse_q(args.q, parser)
         return "Custom", math.nan, lambda _, mu: ch.ChannelSpec(q, mu), q
     if args.family in (None, "custom"):

@@ -28,6 +28,7 @@ from paulimem.channel import (
     ChannelSpec,
     _joint_weights,
     _kraus_terms,
+    _weigh_terms,
     apply,
     preset_depolarizing,
     preset_symmetric,
@@ -497,19 +498,21 @@ def test_candidate_inputs_are_a_read_only_constant_of_the_covariant_ensembles():
 
 
 def test_candidate_terms_are_a_read_only_constant_that_sweeps_leave_unchanged():
-    inputs, distinct = capacity._CANDIDATE_INPUTS, capacity._DISTINCT_INPUTS
-    rows, terms = capacity._DISTINCT_ROWS, capacity._CANDIDATE_TERMS
-    for table in (distinct, rows, terms):
+    inputs, labelled = capacity._CANDIDATE_INPUTS, capacity._LABEL_INPUTS
+    rows, terms = capacity._LABEL_ROWS, capacity._CANDIDATE_TERMS
+    for table in (labelled, rows, terms):
         with pytest.raises(ValueError):
             table.flat[0] = 0
-    # The average and 5 distinct members of each axis candidate, 9 of the Bell state.
-    assert [len(set(row)) for row in rows.tolist()] == [6, 6, 6, 10]
-    assert (rows.shape, distinct.shape) == ((len(_CANDIDATES), 17), (len(_CANDIDATES), 10, 4, 4))
-    for c in range(len(_CANDIDATES)):
-        assert terms[c].tobytes() == _kraus_terms(distinct[c]).tobytes()
-        assert rows[c, 0] == 0
+    # The average first, then one input per output label.
+    assert (rows.shape, labelled.shape) == ((len(_CANDIDATES), 17), (len(_CANDIDATES), 5, 4, 4))
+    for c, (_, labels) in enumerate(_CANDIDATES):
+        assert rows[c].tolist() == [0, *(labels + 1).tolist()]
+        assert terms[c].tobytes() == _kraus_terms(labelled[c]).tobytes()
+        assert inputs[c, 0].tobytes() == labelled[c, 0].tobytes()
         for k in range(16):
-            assert inputs[c, k + 1].tobytes() == distinct[c, rows[c, k + 1]].tobytes()
+            # Each member is its label's projector up to signed zeros.
+            member, label = inputs[c, k + 1], labelled[c, rows[c, k + 1]]
+            assert (member + 0.0).tobytes() == (label + 0.0).tobytes()
     before = terms.tobytes()
     # X-optimal below its threshold, Bell-optimal above it.
     sweep = [ChannelSpec((0.5, 0.05, 0.4, 0.05), mu) for mu in np.linspace(0.0, 1.0, 101)]
@@ -517,6 +520,42 @@ def test_candidate_terms_are_a_read_only_constant_that_sweeps_leave_unchanged():
     assert {Regime.PRODUCT, Regime.ENTANGLED} <= regimes
     # The block scaled a gathered copy of the terms in place, never the constant.
     assert terms.tobytes() == before
+
+
+def _zero_weight_channels(rng, n: int) -> list[ChannelSpec]:
+    """``n`` Dirichlet(1) channels with 1 to 3 weights set to exactly zero and
+    ``mu`` of 0 or 1 in turn, and the four single-Pauli channels at both ends."""
+    specs = [ChannelSpec(tuple(q), mu) for q in np.eye(4) for mu in (0.0, 1.0)]
+    for k in range(n):
+        q = rng.dirichlet(np.ones(4))
+        q[rng.choice(4, size=1 + k % 3, replace=False)] = 0.0
+        specs.append(ChannelSpec(tuple(q / q.sum()), float(k % 2)))
+    return specs
+
+
+def test_members_that_share_a_label_have_byte_equal_outputs():
+    # The closed form gives one output per label to every member with that label,
+    # which keeps the bits only while their outputs are byte-equal.  Checked on the
+    # one-stage kernel test's channels and on channels with exact zero weights.
+    specs = _stack_channels(
+        np.random.default_rng(49), 3200,
+        beside=lambda rng: rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -6),
+    )
+    specs += _zero_weight_channels(np.random.default_rng(50), 800)
+    members, labelled = capacity._CANDIDATE_INPUTS, capacity._LABEL_INPUTS
+    for start in range(0, len(specs), capacity._BLOCK):
+        block = specs[start : start + capacity._BLOCK]
+        weights = _joint_weights([s.q for s in block], [s.mu for s in block])
+        n = len(block)
+        outputs, labels = (
+            _weigh_terms(weights, np.repeat(_kraus_terms(table.reshape(1, -1, 4, 4)), n, axis=0))
+            .reshape(n, *table.shape)
+            for table in (members, labelled)
+        )
+        # Each member's label output, compared bit for bit, signed zeros included.
+        gathered = labels[:, np.arange(len(_CANDIDATES))[:, None], capacity._LABEL_ROWS]
+        differs = (outputs.view(np.uint64) != gathered.view(np.uint64)).any(axis=(-2, -1))
+        assert not differs.any(), [block[k] for k in np.nonzero(differs)[0]]
 
 
 def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
@@ -554,10 +593,9 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         rows = _rows(specs)
     # The candidate inputs were checked at import; only the outputs are diagonalized,
-    # one per distinct input of each channel's winner.
+    # the average's and one per output label of each channel's winner.
     assert eigvalsh.call_count == 1
-    width = capacity._DISTINCT_INPUTS.shape[1]
-    assert eigvalsh.call_args.args[0].shape == (capacity._BLOCK * width, 4, 4)
+    assert eigvalsh.call_args.args[0].shape == (capacity._BLOCK * 5, 4, 4)
     assert {winner for _, _, winner, _ in rows} == set(range(len(_CANDIDATES)))
 
 

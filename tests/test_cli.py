@@ -531,6 +531,10 @@ def test_argument_errors_exit_2(tmp_path):
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--restarts", "0"],
         ["moe", *point, "--restarts", "0"],
         ["capacity", "--q", "nan,0.5,0.25,0.25", "--mu", "0.3"],
+        # Custom weights take no family weight.
+        ["capacity", "--q", "0.4,0.3,0.2,0.1", "--param", "0.3", "--mu", "0.5"],
+        ["moe", "--q", "0.4,0.3,0.2,0.1", "--param", "0.3", "--mu", "0.5"],
+        ["sweep-mu", "--q", "0.4,0.3,0.2,0.1", "--param", "0.3", "--steps", "2"],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "2", "--threads=-3"],
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "2", "--threads", "0"],
         # sweep-p takes its weight range from --param-min/--param-max only.
@@ -584,6 +588,9 @@ def test_argument_errors_exit_2(tmp_path):
     )
     assert errors["sweep-p --family symmetric --mu 0.5 --q 1,0,0,0 --steps 2"] == (
         "paulimem sweep-p: error: unrecognized arguments: --q 1,0,0,0"
+    )
+    assert errors["capacity --q 0.4,0.3,0.2,0.1 --param 0.3 --mu 0.5"] == (
+        "paulimem capacity: error: --param is not valid with --q"
     )
     # A non-finite weight is named as such, not as a bad sum.
     assert errors["capacity --q nan,0.5,0.25,0.25 --mu 0.3"] == (
