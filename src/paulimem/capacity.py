@@ -140,7 +140,7 @@ def _holevo_chis(
     n, d = terms.shape[:2]
     outputs = _weigh_terms(weights, terms)
     entropies = von_neumann_entropy_bits(outputs.reshape(n * d, 4, 4)).reshape(n, d)
-    entropies = np.take_along_axis(entropies, rows, axis=1)
+    entropies = entropies[np.arange(n)[:, None], rows]
     # accumulate adds one member at a time, in member order; a sum would pair them.
     held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
     return entropies[:, 0] - held
@@ -173,10 +173,11 @@ _CANDIDATES = (
 )
 _BELL = len(_CANDIDATES) - 1
 
-#: Every candidate's labels in one array, candidate ``c``'s offset by ``4c``,
-#: and the Pauli pair that each label is the output of.
-_STACKED_LABELS = np.concatenate([labels + 4 * c for c, (_, labels) in enumerate(_CANDIDATES)])
-_STACKED_PAIRS = np.tile(np.arange(16), len(_CANDIDATES))
+#: ``_LABEL_PAIRS[c, l]``: the 4 Pauli pairs, in increasing order, that send
+#: candidate ``c`` to its label state ``l``; each label owns exactly 4 of the 16.
+_LABEL_PAIRS = np.argsort([labels for _, labels in _CANDIDATES], kind="stable").reshape(-1, 4, 4)
+assert (np.sort([labels for _, labels in _CANDIDATES]) == np.arange(16) // 4).all()
+_LABEL_PAIRS.flags.writeable = False
 
 
 def candidate_entropies(spec: ChannelSpec) -> list[float]:
@@ -189,14 +190,10 @@ def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
 
     A candidate's output is diagonal in the states the 16 Pauli pairs send
     it to, so its spectrum is the joint weights summed by label.  One
-    ``bincount``, which adds in input order, builds the 4n spectra, and
-    one Shannon pass takes their entropies: shape ``(n, 4)``.
+    _LABEL_PAIRS gather and one reduce, adding in pair order from +0.0,
+    build the 4n spectra; one Shannon pass takes their entropies: ``(n, 4)``.
     """
-    width = 4 * len(_CANDIDATES)
-    labels = _STACKED_LABELS + width * np.arange(len(weights))[:, None]
-    spectra = np.bincount(
-        labels.ravel(), weights[:, _STACKED_PAIRS].ravel(), minlength=width * len(weights)
-    )
+    spectra = np.add.reduce(weights[:, _LABEL_PAIRS], axis=-1, initial=0.0)
     return shannon_entropy_bits(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
 
 

@@ -143,4 +143,4 @@ def _weigh_terms(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     # In place: fresh temporaries of a whole block cost more than the products.
     terms *= root
     terms *= root
-    return terms.sum(axis=-3)
+    return np.add.reduce(terms, axis=-3)

@@ -58,14 +58,14 @@ def density_spectra(rho) -> np.ndarray:
             f"expected a 4x4 density matrix or a nonempty (n, 4, 4) stack, got {rho.shape}"
         )
     member = "member" if rho.ndim == 3 else None
-    defects = np.abs(rho - rho.conj().swapaxes(-1, -2)).reshape(-1, 16).max(axis=1)
+    defects = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)).reshape(-1, 16), axis=1)
     message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
     _require(defects <= HERMITIAN_TOL, member, message, defects)
     spectra = np.linalg.eigvalsh(rho)[..., ::-1].copy()
     rows = spectra.reshape(-1, 4)
     message = "not positive semidefinite: smallest eigenvalue {:.3e}"
     _require(rows[:, -1] >= -DUST_TOL, member, message, rows[:, -1])
-    traces = rows.sum(axis=1)
+    traces = np.add.reduce(rows, axis=1)
     _require(np.abs(traces - 1.0) <= TRACE_TOL, member, "trace is {!r}, not 1", traces)
     return spectra
 
@@ -118,9 +118,9 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     adds an exact +0.0 and numpy sums a row of fewer than 8 entries in
     order, so such a row has the bits of summing its nonzero terms alone.
     """
-    rows = np.clip(rows, 0.0, 1.0)
-    logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0.0)
-    return -(rows * logs).sum(axis=1) + 0.0  # +0.0 turns -0.0 into 0.0
+    rows = np.minimum(np.maximum(rows, 0.0), 1.0)
+    logs = np.log2(rows, out=np.zeros(rows.shape), where=rows > 0.0)
+    return -np.add.reduce(rows * logs, axis=1) + 0.0  # +0.0 turns -0.0 into 0.0
 
 
 def shannon_entropy_bits(p) -> float | np.ndarray:
@@ -139,10 +139,10 @@ def shannon_entropy_bits(p) -> float | np.ndarray:
         )
     rows = p.reshape(-1, p.shape[-1])
     row = "row" if p.ndim == 2 else None
-    _require(np.isfinite(rows).all(axis=1), row, "probabilities must be finite")
-    smallest = rows.min(axis=1)
+    _require(np.logical_and.reduce(np.isfinite(rows), axis=1), row, "probabilities must be finite")
+    smallest = np.minimum.reduce(rows, axis=1)
     _require(smallest >= -DUST_TOL, row, "negative probability {:.3e} beyond tolerance", smallest)
-    totals = rows.sum(axis=1)
+    totals = np.add.reduce(rows, axis=1)
     _require(np.abs(totals - 1.0) <= PROB_SUM_TOL, row, "probabilities sum to {!r}, not 1", totals)
     entropies = _row_entropies(rows)
     return float(entropies[0]) if p.ndim == 1 else entropies

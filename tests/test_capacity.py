@@ -19,6 +19,7 @@ from paulimem.capacity import (
     Regime,
     _closed_form_rows,
     candidate_entropies,
+    candidate_entropy_gap,
     covariant_ensemble,
     crossing_mu,
     holevo_chi,
@@ -38,6 +39,7 @@ from paulimem.spectral import density_spectra, shannon_entropy_bits, von_neumann
 from paulimem.symmetric import SymmetricParams, capacity_symmetric, optimal_input
 from util import (
     CANDIDATES,
+    candidate_spectra_oracle,
     kraus_sum_oracle,
     mixed_channels,
     random_pure_state,
@@ -558,6 +560,64 @@ def test_members_that_share_a_label_have_byte_equal_outputs():
         assert not differs.any(), [block[k] for k in np.nonzero(differs)[0]]
 
 
+def _signed_zero_copy(spec: ChannelSpec) -> ChannelSpec:
+    """``spec`` with each exactly-zero weight written as -0.0."""
+    return ChannelSpec(tuple(-0.0 if w == 0.0 else w for w in spec.q), spec.mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, capacity._BLOCK + 1])
+def test_candidate_entropies_have_the_bits_of_the_offset_bincount(n):
+    # The label-pair table adds each label's 4 weights in pair order from +0.0,
+    # as the offset bincount did: the spectra keep its bits, signed zeros included.
+    rng = np.random.default_rng(60 + n)
+    zeros = _zero_weight_channels(rng, 3 * n)
+    specs = mixed_channels(rng, 3 * n) + zeros + [_signed_zero_copy(s) for s in zeros]
+    labels = np.array([labels for _, labels in _CANDIDATES])
+    negative_zeros = 0
+    for start in range(0, len(specs), n):
+        block = specs[start : start + n]
+        weights = _joint_weights([s.q for s in block], [s.mu for s in block])
+        spectra = candidate_spectra_oracle(weights, labels).reshape(-1, 4)
+        spy = mock.patch.object(capacity, "shannon_entropy_bits", wraps=shannon_entropy_bits)
+        with spy as shannon:
+            entropies = capacity._candidate_entropies(weights)
+        assert shannon.call_args.args[0].tobytes() == spectra.tobytes()
+        assert entropies.tobytes() == shannon_entropy_bits(spectra).reshape(-1, 4).tobytes()
+        negative_zeros += int(np.signbit(weights[weights == 0.0]).sum())
+    assert negative_zeros
+
+
+def test_label_pairs_are_a_read_only_table_of_four_pairs_per_label():
+    table = capacity._LABEL_PAIRS
+    assert table.shape == (len(_CANDIDATES), 4, 4)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
+    for pairs, (_, labels) in zip(table, _CANDIDATES):
+        # Each label owns exactly 4 Pauli pairs, listed in increasing order.
+        assert pairs.tolist() == [np.flatnonzero(labels == label).tolist() for label in range(4)]
+
+
+@pytest.mark.parametrize(
+    "q, mu, winner",
+    [
+        ((0.5, 0.3, 0.2, 0.0), 0.3, 0),
+        ((0.5, 0.2, 0.3, 0.0), 0.3, 1),
+        ((0.5, 0.0, 0.2, 0.3), 0.3, 2),
+        ((0.0, 0.5, 0.25, 0.25), 0.9, 3),
+    ],
+    ids=["Z", "X", "Y", "Bell"],
+)
+def test_negative_zero_weights_give_the_bytes_of_positive_zeros(q, mu, winner):
+    spec = ChannelSpec(q, mu)
+    signed = _signed_zero_copy(spec)
+    assert any(math.copysign(1.0, w) < 0.0 for w in signed.q)
+    result, other = two_qubit_capacity(spec), two_qubit_capacity(signed)
+    assert result.state.tobytes() == _CANDIDATES[winner][0].tobytes()
+    assert _bits(other) == _bits(result)
+    assert other.ensemble.priors.tobytes() == result.ensemble.priors.tobytes()
+    assert candidate_entropy_gap(signed).hex() == candidate_entropy_gap(spec).hex()
+
+
 def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
     # Symmetric points from 1e-12 to 1e-6 off the threshold.
     specs = _stack_channels(
@@ -682,8 +742,8 @@ def test_capacity_owns_the_candidates_and_the_regime_rule():
     # The channel keeps the spec, the weights and the kernel, and no candidate.
     defined = _top_level_names(channel)
     assert not {name for name in defined if re.search("candidate|label|bell", name, re.I)}
-    assert not {"_PAIR_I", "_PAIR_J", "_STACKED_PAIRS"} & defined
+    assert not {"_PAIR_I", "_PAIR_J", "_LABEL_PAIRS"} & defined
     assert "shannon_entropy_bits" not in _imports(channel)["spectral"]
-    assert {"_CANDIDATES", "_BELL", "candidate_entropies", "BOUNDARY_TOL", "Regime"} <= (
-        _top_level_names(capacity)
-    )
+    assert {
+        "_CANDIDATES", "_BELL", "_LABEL_PAIRS", "candidate_entropies", "BOUNDARY_TOL", "Regime",
+    } <= _top_level_names(capacity)

@@ -406,7 +406,7 @@ def test_preset_depolarizing_values():
 
 
 def test_candidate_entropies_have_the_bits_of_one_candidate_at_a_time():
-    # One offset bincount and one Shannon pass give each candidate the bits
+    # One label-table sum and one Shannon pass give each candidate the bits
     # of its own bincount and the per-row formula.
     for spec in mixed_channels(np.random.default_rng(47), 300):
         weights = _joint_weights([spec.q], [spec.mu])[0]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulimem.channel import apply, preset_symmetric
@@ -135,6 +135,7 @@ def test_shannon_stack_rows_have_the_bits_of_the_row_formula(k):
 
 ENTRY = st.one_of(
     st.just(0.0),
+    st.just(-0.0),
     st.just(1.0),
     st.floats(-1e-9, 0.0, exclude_max=True),
     st.floats(1e-300, 1.0),
@@ -143,16 +144,19 @@ ENTRY = st.one_of(
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(st.lists(ENTRY, min_size=4, max_size=4), min_size=1, max_size=6))
+@example([[-0.0, 1.0, -0.0, 0.0], [0.5, -0.0, 0.5, -1e-10], [-0.0, -0.0, -0.0, -0.0]])
 def test_shannon_stack_property_over_zeros_dust_and_ones(raw):
     # Scale each row's positive part so the row sums to one: a row without
     # positive entries becomes a point mass next to its dust, and a point
     # mass beside dust exceeds 1.0, which the clamp takes back to 1.0.
-    rows = np.array(raw)
-    positive = np.where(rows > 0.0, rows, 0.0)
-    dust = rows - positive
+    raw = np.array(raw)
+    positive = np.where(raw > 0.0, raw, 0.0)
+    dust = raw - positive
     empty = positive.sum(axis=1) == 0.0
     positive[empty, 0], dust[empty, 0] = 1.0, 0.0
     rows = dust + positive * ((1.0 - dust.sum(axis=1)) / positive.sum(axis=1))[:, None]
+    # The scaling turns -0.0 into +0.0; put the drawn -0.0 entries back.
+    rows[np.signbit(raw) & (raw == 0.0) & (rows == 0.0)] = -0.0
     entropies = shannon_entropy_bits(rows)
     for row, entropy in zip(rows, entropies.tolist()):
         oracle = shannon_row_oracle(row)

@@ -1,6 +1,7 @@
 """Shared random generators (all explicitly seeded), candidate inputs, the
-per-row Shannon oracle, the one-stage Kraus-sum oracle and the einsum
-superoperator oracle for the test suite."""
+per-row Shannon oracle, the offset-bincount candidate-spectra oracle, the
+one-stage Kraus-sum oracle and the einsum superoperator oracle for the test
+suite."""
 
 import numpy as np
 
@@ -50,6 +51,25 @@ def shannon_row_oracle(p) -> float:
     p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum()) + 0.0  # +0.0 turns -0.0 into 0.0
+
+
+def candidate_spectra_oracle(weights, labels) -> np.ndarray:
+    """Output spectra of the candidates behind ``labels``, ``(c, 16)`` output
+    labels in 0..3, through each channel of an ``(n, 16)`` weight stack:
+    shape ``(n, c, 4)``.
+
+    The offset ``bincount`` the label-pair table replaced: label ``l`` of
+    candidate ``j`` of channel ``i`` is bin ``4 * (c * i + j) + l``, and one
+    ``bincount`` adds each bin's weights in pair order, starting from +0.0.
+    The closed form's spectra must have exactly these bits, signed zeros
+    included.
+    """
+    weights = np.asarray(weights, dtype=float)
+    labels = np.asarray(labels)
+    n, c = len(weights), len(labels)
+    bins = (labels + 4 * np.arange(c)[:, None]) + 4 * c * np.arange(n)[:, None, None]
+    pairs = np.broadcast_to(weights[:, None, :], bins.shape)
+    return np.bincount(bins.ravel(), pairs.ravel(), minlength=4 * c * n).reshape(n, c, 4)
 
 
 def kraus_sum_oracle(weights, rho) -> np.ndarray:
