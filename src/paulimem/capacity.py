@@ -4,16 +4,17 @@ For any input state the 16 Pauli-pair rotations of that state, taken
 with uniform priors, average to I/4 at the output and share one output
 entropy.  The Holevo quantity of that ensemble therefore equals
 ``2 - S(E(rho))``; built on a minimal-output-entropy state it attains
-the two-qubit capacity.  Every channel, the paper's ``q0 = q1, q2 = q3``
-family included, takes that state from one closed form: the best of the
-four candidate inputs below, whose Holevo inputs and their Kraus terms
-are built and checked once, at import.  The closed form indexes each
-candidate's members by the label of their output state: it weighs and
-diagonalizes the average's output and one per label.  ``holevo_chi``
-checks a caller's ensemble and stays dense over every member's output.
-One rule, the best axis candidate's entropy minus the Bell state's, sets
-a channel's regime and, bisected over ``mu``, its regime switch
-``crossing_mu``.
+the two-qubit capacity, so a result stores the state and derives the
+ensemble anew, checked, on each access (about 16 us).  Every channel,
+the paper's ``q0 = q1, q2 = q3`` family included, takes that state from
+one closed form: the best of the four candidate inputs below, whose
+Holevo inputs and their Kraus terms are built and checked once, at
+import.  The closed form indexes each candidate's members by the label
+of their output state: it weighs and diagonalizes the average's output
+and one per label.  ``holevo_chi`` checks a caller's ensemble and stays
+dense over every member's output.  One rule, the best axis candidate's
+entropy minus the Bell state's, sets a channel's regime and, bisected
+over ``mu``, its regime switch ``crossing_mu``.
 
 The four candidate inputs of ``candidate_entropies`` hold the minimal
 output entropy of every Pauli memory channel (Daems, PRA 76, 012310
@@ -87,12 +88,16 @@ class CapacityResult:
 
     chi_bits: float
     s_min_bits: float
-    ensemble: Ensemble
     saturation_gap: float
     state: np.ndarray
     regime: Regime
     method: MOEMethod
     converged: bool
+
+    @property
+    def ensemble(self) -> Ensemble:
+        """The covariant ensemble of ``state``, a fresh checked one on each access."""
+        return covariant_ensemble(self.state)
 
 
 def covariant_ensemble(state) -> Ensemble:
@@ -336,15 +341,12 @@ def two_qubit_capacity(
     [(chi, s_min, winner, regime)] = _closed_form_rows(np.array([spec.q]), np.array([spec.mu]))
     if force_numeric:
         found = minimize_output_entropy(spec, config)
-        ensemble = covariant_ensemble(found.state)
-        chi, s_min = holevo_chi(spec, ensemble), found.entropy_bits
+        chi, s_min = holevo_chi(spec, covariant_ensemble(found.state)), found.entropy_bits
         state, method, converged = found.state, found.method, found.converged
     else:
-        # Each result owns its copies of the winner's state and covariant ensemble.
-        ensemble = Ensemble(_CANDIDATE_INPUTS[winner, 1:].copy(), _UNIFORM_PRIORS.copy())
         state, converged = _CANDIDATES[winner][0].copy(), True
         method = MOEMethod.ANALYTIC_CLOSED_FORM
     return CapacityResult(
-        chi_bits=chi, s_min_bits=s_min, ensemble=ensemble, saturation_gap=abs(chi - (2.0 - s_min)),
-        state=state, regime=regime, method=method, converged=converged,
+        chi_bits=chi, s_min_bits=s_min, saturation_gap=abs(chi - (2.0 - s_min)), state=state,
+        regime=regime, method=method, converged=converged,
     )

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 
@@ -377,9 +378,14 @@ def _add_sweep_options(sp):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which reports the unrecognized arguments given after it."""
+    """A command's parser: it reads ``--q -0.1,...``, which argparse takes for a
+    missing value, as ``--q=-0.1,...`` and reports the arguments left after it."""
 
     def parse_known_args(self, args=None, namespace=None):
+        args = list(args)
+        for k in reversed(range(len(args) - 1)):
+            if args[k] == "--q" and re.match(r"-[\d.]", args[k + 1]):
+                args[k : k + 2] = [f"--q={args[k + 1]}"]
         namespace, unknown = super().parse_known_args(args, namespace)
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")

@@ -3,12 +3,12 @@
 This is the brute-force route to the capacity: by concavity of the von
 Neumann entropy the minimum over all inputs is attained on a pure state,
 so a multi-start derivative-free descent over a 6-angle parametrization
-of pure two-qubit states suffices.  The search shares no code with the
-closed form and serves as its certificate: ``force_numeric`` and
-``--numeric`` run it in its place, and ``verify`` checks on random
-channels that it never ends below the four-candidate minimum.  It reads
-the channel only through the channel kernel of ``channel``, the same
-two stages that ``apply`` takes.
+of pure two-qubit states suffices.  It never reads the closed form's
+candidates, labels or certificate tables, and serves as its certificate:
+``force_numeric`` and ``--numeric`` run it in its place, and ``verify``
+checks on random channels that it never ends below the four-candidate
+minimum.  It shares the channel kernel, the two stages ``apply`` takes,
+and, through ``output_entropy``, the Shannon kernel.
 
 The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
 restart simplices in lock-step: each step scores the trial points of

@@ -1,6 +1,7 @@
 """Covariant ensembles and the saturation of the capacity bound."""
 
 import ast
+import dataclasses
 import inspect
 import math
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from paulimem import capacity, channel, checks, symmetric
 from paulimem.capacity import (
     _CANDIDATES,
+    CapacityResult,
     Ensemble,
     Regime,
     _closed_form_rows,
@@ -479,12 +481,49 @@ def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
 
 def test_closed_form_results_own_their_arrays():
     first, second = (two_qubit_capacity(preset_symmetric(0.3, 0.5)) for _ in range(2))
-    first.state[:] = 0.0
+    # The ensemble is derived from the state on each access, so it is written
+    # first: a zeroed state has no covariant ensemble.
     first.ensemble.states[:] = 0.0
     first.ensemble.priors[:] = 0.0
-    assert np.abs(second.state).max() > 0.0 and np.abs(second.ensemble.states).max() > 0.0
-    assert np.array_equal(second.ensemble.priors, np.full(16, 1.0 / 16.0))
-    assert np.abs(two_qubit_capacity(preset_symmetric(0.3, 0.5)).state).max() > 0.0
+    first.state[:] = 0.0
+    with pytest.raises(ValueError, match="state norm is 0.0, not 1"):
+        first.ensemble
+    for result in (second, two_qubit_capacity(preset_symmetric(0.3, 0.5))):
+        assert np.abs(result.state).max() > 0.0 and np.abs(result.ensemble.states).max() > 0.0
+        assert np.array_equal(result.ensemble.priors, np.full(16, 1.0 / 16.0))
+
+
+@pytest.mark.parametrize(
+    "q, mu, winner",
+    [
+        ((0.5, 0.3, 0.2, 0.0), 0.3, 0),
+        ((0.5, 0.2, 0.3, 0.0), 0.3, 1),
+        ((0.5, 0.0, 0.2, 0.3), 0.3, 2),
+        ((0.0, 0.5, 0.25, 0.25), 0.9, 3),
+        ((0.4, 0.3, 0.2, 0.1), 0.6, None),
+    ],
+    ids=["Z", "X", "Y", "Bell", "numeric"],
+)
+def test_a_result_derives_its_ensemble_from_its_state(q, mu, winner):
+    spec = ChannelSpec(q, mu)
+    result = two_qubit_capacity(spec, force_numeric=winner is None)
+    ensemble, expected = result.ensemble, covariant_ensemble(result.state)
+    assert ensemble.states.tobytes() == expected.states.tobytes()
+    assert ensemble.priors.tobytes() == expected.priors.tobytes()
+    if winner is not None:
+        # The same bytes as the constant table the closed form's certificate reads.
+        assert ensemble.states.tobytes() == capacity._CANDIDATE_INPUTS[winner, 1:].tobytes()
+        assert ensemble.priors.tobytes() == capacity._UNIFORM_PRIORS.tobytes()
+    assert holevo_chi(spec, ensemble).hex() == result.chi_bits.hex()
+    # Each access builds a fresh ensemble; none is stored.
+    assert result.ensemble is not ensemble
+
+
+def test_a_result_stores_no_array_but_its_state():
+    names = [field.name for field in dataclasses.fields(CapacityResult)]
+    assert names == [
+        "chi_bits", "s_min_bits", "saturation_gap", "state", "regime", "method", "converged",
+    ]
 
 
 def test_candidate_inputs_are_a_read_only_constant_of_the_covariant_ensembles():

@@ -531,6 +531,10 @@ def test_argument_errors_exit_2(tmp_path):
         ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--restarts", "0"],
         ["moe", *point, "--restarts", "0"],
         ["capacity", "--q", "nan,0.5,0.25,0.25", "--mu", "0.3"],
+        # A --q value that starts with "-" is read as the value in either spelling.
+        ["capacity", "--q", "-0.1,0.6,0.25,0.25", "--mu", "0.3"],
+        ["capacity", "--q=-0.1,0.6,0.25,0.25", "--mu", "0.3"],
+        ["capacity", "--q", "--mu", "0.3"],
         # Custom weights take no family weight.
         ["capacity", "--q", "0.4,0.3,0.2,0.1", "--param", "0.3", "--mu", "0.5"],
         ["moe", "--q", "0.4,0.3,0.2,0.1", "--param", "0.3", "--mu", "0.5"],
@@ -596,6 +600,23 @@ def test_argument_errors_exit_2(tmp_path):
     assert errors["capacity --q nan,0.5,0.25,0.25 --mu 0.3"] == (
         "paulimem capacity: error: q must be finite, got nan"
     )
+    assert errors["capacity --q -0.1,0.6,0.25,0.25 --mu 0.3"] == (
+        "paulimem capacity: error: q must be nonnegative, got min -0.1"
+    )
+    assert errors["capacity --q=-0.1,0.6,0.25,0.25 --mu 0.3"] == (
+        errors["capacity --q -0.1,0.6,0.25,0.25 --mu 0.3"]
+    )
+    # An option after --q is still an option, not its value.
+    assert errors["capacity --q --mu 0.3"] == (
+        "paulimem capacity: error: argument --q: expected one argument"
+    )
+
+
+@pytest.mark.parametrize("q", ["-0.1,0.6,0.25,0.25", "-0.0,0.5,0.25,0.25"])
+def test_a_q_value_that_starts_with_a_minus_reads_alike_in_both_spellings(q):
+    spaced = run_captured(["capacity", "--q", q, "--mu", "0.3", "--json"])
+    assert spaced == run_captured(["capacity", f"--q={q}", "--mu", "0.3", "--json"])
+    assert spaced[0] == (0 if q.startswith("-0.0") else 2)
 
 
 @pytest.mark.parametrize("command", ["capacity", "moe", "sweep-p"])

@@ -315,7 +315,7 @@ def test_default_search_finds_every_candidate_kind(kind):
 
 
 def test_restarts_follow_scipy_nelder_mead():
-    from scipy.optimize import minimize
+    minimize = pytest.importorskip("scipy.optimize").minimize
 
     spec = ChannelSpec((0.35, 0.15, 0.4, 0.1), 0.3)
     cfg = SearchConfig(restarts=12, seed=11)
