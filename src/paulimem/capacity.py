@@ -4,17 +4,18 @@ For any input state the 16 Pauli-pair rotations of that state, taken
 with uniform priors, average to I/4 at the output and share one output
 entropy.  The Holevo quantity of that ensemble therefore equals
 ``2 - S(E(rho))``; built on a minimal-output-entropy state it attains
-the two-qubit capacity, so a result stores the state and derives the
-ensemble anew, checked, on each access (about 16 us).  Every channel,
-the paper's ``q0 = q1, q2 = q3`` family included, takes that state from
-one closed form: the best of the four candidate inputs below, whose
-Holevo inputs and their Kraus terms are built and checked once, at
-import.  The closed form indexes each candidate's members by the label
-of their output state: it weighs and diagonalizes the average's output
-and one per label.  ``holevo_chi`` checks a caller's ensemble and stays
-dense over every member's output.  One rule, the best axis candidate's
-entropy minus the Bell state's, sets a channel's regime and, bisected
-over ``mu``, its regime switch ``crossing_mu``.
+the two-qubit capacity, so a result stores the state, read-only, and
+derives the ensemble anew, checked, on each access (about 16 us).  Every
+channel takes that state from one closed form: the best of the four
+candidate inputs below, whose read-only states closed-form results share
+and whose Holevo inputs and Kraus terms are built and checked at import.
+It runs on a block of channels; a point is a block of one channel, and a
+sweep streams block after block.  It indexes each candidate's members by
+the label of their output state: it weighs and diagonalizes the average's
+output and one per label.  ``holevo_chi`` checks a caller's ensemble and
+stays dense over every member's output.  One rule, the best axis
+candidate's entropy minus the Bell state's, sets a channel's regime and,
+bisected over ``mu``, its regime switch ``crossing_mu``.
 
 The four candidate inputs of ``candidate_entropies`` hold the minimal
 output entropy of every Pauli memory channel (Daems, PRA 76, 012310
@@ -143,9 +144,8 @@ def _holevo_chis(
     terms ``p_i S_i`` added one member column at a time, in member order.
     """
     n, d = terms.shape[:2]
-    outputs = _weigh_terms(weights, terms)
-    entropies = von_neumann_entropy_bits(outputs.reshape(n * d, 4, 4)).reshape(n, d)
-    entropies = entropies[np.arange(n)[:, None], rows]
+    outputs = _weigh_terms(weights, terms).reshape(n * d, 4, 4)
+    entropies = von_neumann_entropy_bits(outputs)[rows + d * np.arange(n)[:, None]]
     # accumulate adds one member at a time, in member order; a sum would pair them.
     held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
     return entropies[:, 0] - held
@@ -165,16 +165,16 @@ def _axis_labels(k: int) -> np.ndarray:
     return 2 * flip_i + flip_j
 
 
-#: Candidate minimal-output-entropy inputs with, for each Pauli pair, the
-#: label of the orthonormal state it sends the candidate to: the product
-#: eigenstates of ``s_1``, ``s_2`` and ``s_3`` on both qubits (|00>, |++>,
-#: |+i +i>), and the Bell state, which ``s_i (x) s_j`` sends to the Bell
-#: state ``i XOR j``.
+#: Candidate minimal-output-entropy inputs, read-only states that closed-form
+#: results share, with, for each Pauli pair, the label of the orthonormal state
+#: it sends the candidate to: the product eigenstates of ``s_1``, ``s_2`` and
+#: ``s_3`` on both qubits (|00>, |++>, |+i +i>), and the Bell state, which
+#: ``s_i (x) s_j`` sends to the Bell state ``i XOR j``.
 _CANDIDATES = (
-    (np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), _axis_labels(1)),
-    (np.full(4, 0.5, dtype=complex), _axis_labels(2)),
-    (np.array([0.5, 0.5j, 0.5j, -0.5], dtype=complex), _axis_labels(3)),
-    (np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0), _PAIR_I ^ _PAIR_J),
+    (_frozen([1.0, 0.0, 0.0, 0.0]), _axis_labels(1)),
+    (_frozen(np.full(4, 0.5)), _axis_labels(2)),
+    (_frozen([0.5, 0.5j, 0.5j, -0.5]), _axis_labels(3)),
+    (_frozen(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)), _PAIR_I ^ _PAIR_J),
 )
 _BELL = len(_CANDIDATES) - 1
 
@@ -278,15 +278,13 @@ _BLOCK = 16
 #: ``_holevo_inputs`` of each candidate's covariant ensemble, ``(4, 17, 4, 4)``,
 #: checked once here, and the uniform priors of those ensembles.
 _CANDIDATE_INPUTS = _frozen([_holevo_inputs(covariant_ensemble(c[0])) for c in _CANDIDATES])
-_UNIFORM_PRIORS = np.full(16, 1.0 / 16.0)
-_UNIFORM_PRIORS.flags.writeable = False
+_UNIFORM_PRIORS = _frozen(np.full(16, 1.0 / 16.0), float)
 #: ``_LABEL_ROWS[c]``, ``[0, *(labels + 1)]``, indexes candidate ``c``'s Holevo
 #: inputs by output label among ``_LABEL_INPUTS[c]``: its average and the first
 #: member with each label, ``(4, 5, 4, 4)``, whose Kraus terms are ``_CANDIDATE_TERMS``.
 #: Members that share a label are equal up to signed zeros and have byte-equal
 #: outputs, so the closed form weighs and diagonalizes one output per label.
-_LABEL_ROWS = np.array([[0, *(labels + 1)] for _, labels in _CANDIDATES])
-_LABEL_ROWS.flags.writeable = False
+_LABEL_ROWS = _frozen([[0, *(labels + 1)] for _, labels in _CANDIDATES], int)
 _LABEL_INPUTS = _frozen([
     inputs[np.unique(rows, return_index=True)[1]]
     for inputs, rows in zip(_CANDIDATE_INPUTS, _LABEL_ROWS)
@@ -296,30 +294,23 @@ _LABEL_INPUTS = _frozen([
 _CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _LABEL_INPUTS]))
 
 
-def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
-    """Closed-form ``(chi, s_min, winner, regime)`` of each channel ``(q[k], mu[k])``
-    of ``(n, 4)`` checked weights and ``(n,)`` memory factors, in order.
+def _closed_form_block(weights: np.ndarray) -> list[tuple[float, float, int, Regime]]:
+    """Closed-form ``(chi, s_min, winner, regime)`` of each channel of an ``(n, 16)``
+    weight stack, in order: one pass takes the candidate entropies, and one Holevo
+    pass weighs a gathered copy of each winner's _CANDIDATE_TERMS, one per output
+    label.  A channel's row has the same bits in any block."""
+    optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
+    winners = np.array([winner for winner, _, _ in optima])
+    chis = _holevo_chis(weights, _UNIFORM_PRIORS, _CANDIDATE_TERMS[winners], _LABEL_ROWS[winners])
+    return [(chi, s_min, c, regime) for chi, (c, s_min, regime) in zip(chis.tolist(), optima)]
 
-    The channels go through in blocks of _BLOCK: one broadcast builds their
-    weights, one pass takes their candidate entropies, and one Holevo pass
-    weighs a copy of each channel's best candidate's terms from
-    _CANDIDATE_TERMS, one per output label.  A channel's row has the same
-    bits in any block.
-    """
-    # Every block copies into one buffer, in the table's memory order: a fresh
-    # array per block costs more in page faults than the copy itself.
-    shape = (min(len(mu), _BLOCK), *_CANDIDATE_TERMS.shape[1:])
-    gathered = np.empty_like(_CANDIDATE_TERMS, shape=shape)
+
+def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
+    """``_closed_form_block`` rows of each channel ``(q[k], mu[k])`` of ``(n, 4)``
+    checked weights and ``(n,)`` memory factors, built and run _BLOCK at a time."""
     for start in range(0, len(mu), _BLOCK):
-        weights = _joint_weights(q[start : start + _BLOCK], mu[start : start + _BLOCK])
-        optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
-        winners = [winner for winner, _, _ in optima]
-        terms = gathered[: len(winners)]
-        for row, winner in zip(terms, winners):
-            row[...] = _CANDIDATE_TERMS[winner]
-        chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _LABEL_ROWS[winners])
-        for chi, (winner, s_min, regime) in zip(chis.tolist(), optima):
-            yield chi, s_min, winner, regime
+        block = slice(start, start + _BLOCK)
+        yield from _closed_form_block(_joint_weights(q[block], mu[block]))
 
 
 def two_qubit_capacity(
@@ -329,22 +320,23 @@ def two_qubit_capacity(
 ) -> CapacityResult:
     """Two-qubit capacity with the ensemble that attains it.
 
-    Every channel takes the closed form, one row of the pass the sweeps
-    stream: the best of four candidate inputs, the Z, X and Y product
-    eigenstates and the Bell state.  For the ``q0 = q1, q2 = q3`` family
+    Every channel takes the closed form, one ``_closed_form_block`` of one
+    channel, the kernel the sweeps stream: the best of four candidate
+    inputs, the Z, X and Y product eigenstates and the Bell state, whose
+    read-only state the result shares.  For the ``q0 = q1, q2 = q3`` family
     that is the paper's optimal input, and ``capacity_symmetric`` is its
     independent oracle.  ``force_numeric`` runs the global search with
-    ``config`` in its place; the regime still comes from the row.  The
-    saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for every
-    Pauli memory channel regardless of route.
+    ``config`` in its place and freezes the state it finds; the regime
+    still comes from the row.  The saturation gap ``|chi - (2 - s_min)|``
+    stays below 1e-8 for every Pauli memory channel regardless of route.
     """
-    [(chi, s_min, winner, regime)] = _closed_form_rows(np.array([spec.q]), np.array([spec.mu]))
+    [(chi, s_min, winner, regime)] = _closed_form_block(_joint_weights([spec.q], [spec.mu]))
     if force_numeric:
         found = minimize_output_entropy(spec, config)
         chi, s_min = holevo_chi(spec, covariant_ensemble(found.state)), found.entropy_bits
-        state, method, converged = found.state, found.method, found.converged
+        state, method, converged = _frozen(found.state), found.method, found.converged
     else:
-        state, converged = _CANDIDATES[winner][0].copy(), True
+        state, converged = _CANDIDATES[winner][0], True
         method = MOEMethod.ANALYTIC_CLOSED_FORM
     return CapacityResult(
         chi_bits=chi, s_min_bits=s_min, saturation_gap=abs(chi - (2.0 - s_min)), state=state,

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from contextlib import contextmanager, suppress
 
@@ -378,14 +377,18 @@ def _add_sweep_options(sp):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: it reads ``--q -0.1,...``, which argparse takes for a
-    missing value, as ``--q=-0.1,...`` and reports the arguments left after it."""
+    """A command's parser: it reads ``--mu -1e-3`` or ``--q -inf,...``, which
+    argparse takes for a missing value, as ``--mu=-1e-3`` or ``--q=-inf,...``,
+    and reports the arguments left after it."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(args)
         for k in reversed(range(len(args) - 1)):
-            if args[k] == "--q" and re.match(r"-[\d.]", args[k + 1]):
-                args[k : k + 2] = [f"--q={args[k + 1]}"]
+            action, value = self._option_string_actions.get(args[k]), args[k + 1].split(",")[0]
+            if action is not None and action.nargs is None and value.startswith("-"):
+                with suppress(ValueError):  # joined only where float() reads the first item
+                    float(value)
+                    args[k : k + 2] = [f"{args[k]}={args[k + 1]}"]
         namespace, unknown = super().parse_known_args(args, namespace)
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+def _frozen(values, dtype=complex) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 

@@ -49,8 +49,8 @@ def density_spectra(rho) -> np.ndarray:
     The one check of a two-qubit state: Hermitian within HERMITIAN_TOL, no
     eigenvalue below -DUST_TOL and a spectrum that sums to one within
     TRACE_TOL.  NaN fails every check; the message names the first bad
-    member of a stack.  One ``eigvalsh`` takes the whole stack, and each
-    member keeps the bits it has alone.
+    member of a stack, worked out only once a check fails.  One ``eigvalsh``
+    takes the whole stack, and each member keeps the bits it has alone.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
@@ -58,15 +58,18 @@ def density_spectra(rho) -> np.ndarray:
             f"expected a 4x4 density matrix or a nonempty (n, 4, 4) stack, got {rho.shape}"
         )
     member = "member" if rho.ndim == 3 else None
-    defects = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)).reshape(-1, 16), axis=1)
-    message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
-    _require(defects <= HERMITIAN_TOL, member, message, defects)
+    skew = rho - rho.conj().swapaxes(-1, -2)
+    if np.logical_or.reduce(skew.ravel()):  # unless rho is its adjoint exactly; NaN counts
+        defects = np.maximum.reduce(np.abs(skew).reshape(-1, 16), axis=1)
+        message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
+        _require(defects <= HERMITIAN_TOL, member, message, defects)
     spectra = np.linalg.eigvalsh(rho)[..., ::-1].copy()
     rows = spectra.reshape(-1, 4)
-    message = "not positive semidefinite: smallest eigenvalue {:.3e}"
-    _require(rows[:, -1] >= -DUST_TOL, member, message, rows[:, -1])
     traces = np.add.reduce(rows, axis=1)
-    _require(np.abs(traces - 1.0) <= TRACE_TOL, member, "trace is {!r}, not 1", traces)
+    if not np.logical_and.reduce((rows[:, -1] >= -DUST_TOL) & (abs(traces - 1.0) <= TRACE_TOL)):
+        message = "not positive semidefinite: smallest eigenvalue {:.3e}"
+        _require(rows[:, -1] >= -DUST_TOL, member, message, rows[:, -1])
+        _require(np.abs(traces - 1.0) <= TRACE_TOL, member, "trace is {!r}, not 1", traces)
     return spectra
 
 
@@ -139,11 +142,13 @@ def shannon_entropy_bits(p) -> float | np.ndarray:
         )
     rows = p.reshape(-1, p.shape[-1])
     row = "row" if p.ndim == 2 else None
-    _require(np.logical_and.reduce(np.isfinite(rows), axis=1), row, "probabilities must be finite")
-    smallest = np.minimum.reduce(rows, axis=1)
-    _require(smallest >= -DUST_TOL, row, "negative probability {:.3e} beyond tolerance", smallest)
-    totals = np.add.reduce(rows, axis=1)
-    _require(np.abs(totals - 1.0) <= PROB_SUM_TOL, row, "probabilities sum to {!r}, not 1", totals)
+    smallest, totals = np.minimum.reduce(rows, axis=1), np.add.reduce(rows, axis=1)
+    nonnegative, normalized = smallest >= -DUST_TOL, abs(totals - 1.0) <= PROB_SUM_TOL
+    # A non-finite entry fails one of the two as well, through a NaN or infinite min or sum.
+    if not np.logical_and.reduce(nonnegative & normalized):
+        _require(np.isfinite(rows).all(axis=1), row, "probabilities must be finite")
+        _require(nonnegative, row, "negative probability {:.3e} beyond tolerance", smallest)
+        _require(normalized, row, "probabilities sum to {!r}, not 1", totals)
     entropies = _row_entropies(rows)
     return float(entropies[0]) if p.ndim == 1 else entropies
 

@@ -480,17 +480,23 @@ def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
 
 
 def test_closed_form_results_own_their_arrays():
-    first, second = (two_qubit_capacity(preset_symmetric(0.3, 0.5)) for _ in range(2))
-    # The ensemble is derived from the state on each access, so it is written
-    # first: a zeroed state has no covariant ensemble.
-    first.ensemble.states[:] = 0.0
-    first.ensemble.priors[:] = 0.0
-    first.state[:] = 0.0
-    with pytest.raises(ValueError, match="state norm is 0.0, not 1"):
-        first.ensemble
-    for result in (second, two_qubit_capacity(preset_symmetric(0.3, 0.5))):
-        assert np.abs(result.state).max() > 0.0 and np.abs(result.ensemble.states).max() > 0.0
-        assert np.array_equal(result.ensemble.priors, np.full(16, 1.0 / 16.0))
+    spec = preset_symmetric(0.3, 0.5)
+    config = SearchConfig(seed=3, restarts=4)
+    for force_numeric in (False, True):
+        result = two_qubit_capacity(spec, config, force_numeric)
+        before = _bits(result)
+        # A derived ensemble is the caller's own copy to write.
+        result.ensemble.states[:] = 0.0
+        result.ensemble.priors[:] = 0.0
+        # The state is read-only: the write raises, and chi_bits keeps describing
+        # the state that derives the ensemble.
+        with pytest.raises(ValueError, match="read-only"):
+            result.state[:] = 0.0
+        assert _bits(result) == before
+        assert holevo_chi(spec, result.ensemble).hex() == result.chi_bits.hex()
+    # Closed-form results share their candidate's read-only constant.
+    first, second = (two_qubit_capacity(spec) for _ in range(2))
+    assert first.state is second.state is _CANDIDATES[capacity._BELL][0]
 
 
 @pytest.mark.parametrize(
@@ -696,6 +702,17 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
     assert eigvalsh.call_count == 1
     assert eigvalsh.call_args.args[0].shape == (capacity._BLOCK * 5, 4, 4)
     assert {winner for _, _, winner, _ in rows} == set(range(len(_CANDIDATES)))
+
+
+def test_a_closed_form_point_makes_one_eigvalsh_call():
+    # A single point is one block of one channel: one Shannon pass over its
+    # four candidate spectra and one eigvalsh over its winner's five outputs.
+    eigvalsh = mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh)
+    shannon = mock.patch.object(capacity, "shannon_entropy_bits", wraps=shannon_entropy_bits)
+    with eigvalsh as eig, shannon as entropy:
+        two_qubit_capacity(ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.6))
+    assert [call.args[0].shape for call in eig.call_args_list] == [(5, 4, 4)]
+    assert [call.args[0].shape for call in entropy.call_args_list] == [(4, 4)]
 
 
 #: The public API, as README lists it.

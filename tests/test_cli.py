@@ -619,6 +619,33 @@ def test_a_q_value_that_starts_with_a_minus_reads_alike_in_both_spellings(q):
     assert spaced[0] == (0 if q.startswith("-0.0") else 2)
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["capacity", "--family", "symmetric", "--param", "0.3"], "--mu", "-1e-3"),
+        (["capacity", "--family", "symmetric", "--param", "0.3"], "--mu", "-inf"),
+        (["capacity", "--family", "symmetric", "--mu", "0.3"], "--param", "-1e-3"),
+        (["sweep-mu", "--family", "symmetric", "--param", "0.3"], "--mu-min", "-inf"),
+        (["capacity", "--mu", "0.3"], "--q", "-inf,0.5,0.25,0.25"),
+        (["capacity", "--mu", "0.3"], "--q", "-1e-3,0.5,0.25,0.25"),
+    ],
+    ids=["mu", "mu-inf", "param", "mu-min-inf", "q-inf", "q"],
+)
+def test_a_negative_value_reads_alike_in_both_spellings(argv, option, value):
+    spaced = run_captured([*argv, option, value])
+    assert spaced == run_captured([*argv, f"{option}={value}"])
+    assert spaced[0] == 2 and "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("value", ["-", "--json"])
+def test_a_lone_minus_or_an_option_is_not_read_as_a_value(value):
+    argv = ["capacity", "--family", "symmetric", "--param", "0.3", "--mu", value]
+    code, out, err = run_captured(argv)
+    assert (code, out) == (2, "")
+    expected = "invalid float value: '-'" if value == "-" else "expected one argument"
+    assert err.endswith(f"error: argument --mu: {expected}\n")
+
+
 @pytest.mark.parametrize("command", ["capacity", "moe", "sweep-p"])
 def test_help_lists_only_the_options_a_command_accepts(command):
     code, out, _ = run_captured([command, "--help"])

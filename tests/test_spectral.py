@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from paulimem.channel import apply, preset_symmetric
 from paulimem.pauli import pauli_pair
-from paulimem.spectral import density_spectra, shannon_entropy_bits, von_neumann_entropy_bits
+from paulimem.spectral import HERMITIAN_TOL, density_spectra, shannon_entropy_bits
+from paulimem.spectral import von_neumann_entropy_bits
 from util import random_density_matrix, shannon_row_oracle
 
 # Output entropy of the Bell state through the symmetric channel with
@@ -334,3 +335,23 @@ def test_stack_reports_its_first_bad_member():
 def test_stack_rejects_other_shapes(function, shape):
     with pytest.raises(ValueError, match="4x4"):
         function(np.zeros(shape, dtype=complex))
+
+
+def test_the_exact_adjoint_fast_path_falls_back_to_every_check():
+    stack = density_stack(np.random.default_rng(32), 3)
+    # Member 0 differs from its adjoint, within HERMITIAN_TOL: the defect is
+    # worked out, accepted, and the spectra are eigvalsh's own.
+    skewed = with_member(stack, 0, stack[0] + np.eye(4, k=1) * 0.5 * HERMITIAN_TOL)
+    assert not np.array_equal(skewed[0], skewed[0].conj().T)
+    expected = np.linalg.eigvalsh(skewed)[..., ::-1]
+    assert density_spectra(skewed).tobytes() == expected.tobytes()
+    # An infinite entry equals its adjoint's, yet inf - inf is NaN: still not Hermitian.
+    infinite = with_member(stack, 1, np.diag([np.inf, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^member 1: .*not Hermitian.*nan"):
+        with np.errstate(invalid="ignore"):
+            density_spectra(infinite)
+    # Member 1 fails the PSD check and member 2 the trace check: PSD is checked first.
+    bad = with_member(stack, 1, np.diag([0.6, 0.3, 0.2, -0.1]))
+    bad = with_member(bad, 2, np.diag([0.5, 0.3, 0.2, 0.1]))
+    with pytest.raises(ValueError, match=r"^member 1: not positive semidefinite: .*-1\.000e-01$"):
+        density_spectra(bad)
