@@ -9,13 +9,13 @@ derives the ensemble anew, checked, on each access (about 16 us).  Every
 channel takes that state from one closed form: the best of the four
 candidate inputs below, whose read-only states closed-form results share
 and whose Holevo inputs and Kraus terms are built and checked at import.
-It runs on a block of channels; a point is a block of one channel, and a
-sweep streams block after block.  It indexes each candidate's members by
-the label of their output state: it weighs and diagonalizes the average's
+It computes arrays over a block of channels: a point is a block of one, a
+sweep streams blocks of _BLOCK.  It indexes each candidate's members by the
+label of their output state: it weighs and diagonalizes the average's
 output and one per label.  ``holevo_chi`` checks a caller's ensemble and
-stays dense over every member's output.  One rule, the best axis
-candidate's entropy minus the Bell state's, sets a channel's regime and,
-bisected over ``mu``, its regime switch ``crossing_mu``.
+stays dense over every member's output.  One array rule on the margin, the
+best axis candidate's entropy minus the Bell state's, sets every winner and
+regime and, bisected over ``mu``, the regime switch ``crossing_mu``.
 
 The four candidate inputs of ``candidate_entropies`` hold the minimal
 output entropy of every Pauli memory channel (Daems, PRA 76, 012310
@@ -202,31 +202,24 @@ def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
     return shannon_entropy_bits(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
 
 
-def _best_axis(entropies: list[float]) -> tuple[int, float]:
-    """The axis candidate with the smallest of the four ``entropies`` and its
-    margin over the Bell state: negative where it wins, positive where the
-    Bell state does."""
-    axis = min(range(_BELL), key=entropies.__getitem__)
-    return axis, entropies[axis] - entropies[_BELL]
+#: Edges of the Boundary band, ``[-BOUNDARY_TOL, BOUNDARY_TOL]``, for ``searchsorted``:
+#: a margin below it is band 0, in it band 1, above it band 2.
+_BAND_EDGES = _frozen([math.nextafter(-BOUNDARY_TOL, -math.inf), BOUNDARY_TOL], float)
+#: ``_WINNERS[band, axis]``: the best axis below the band, the Bell state in and above it.
+_WINNERS = _frozen([[0, 1, 2], [_BELL] * 3, [_BELL] * 3], int)
+_REGIMES = (Regime.PRODUCT, Regime.BOUNDARY, Regime.ENTANGLED)  # of each band
 
 
-def _candidate_optimum(entropies: list[float]) -> tuple[int, float, Regime]:
-    """Best of the four candidate inputs, given their entropies: its index,
-    ``s_min`` and the regime.
-
-    ``s_min`` is the smallest of the four entropies.  An axis that beats
-    the Bell state is Product, a Bell state that beats every axis is
-    Entangled, and a tie within BOUNDARY_TOL is Boundary, with the Bell
-    state reported as the representative.
-    """
-    axis, margin = _best_axis(entropies)
-    if abs(margin) <= BOUNDARY_TOL:
-        winner, regime = _BELL, Regime.BOUNDARY
-    elif margin > 0.0:
-        winner, regime = _BELL, Regime.ENTANGLED
-    else:
-        winner, regime = axis, Regime.PRODUCT
-    return winner, min(entropies), regime
+def _optimum(entropies: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The winner rule, on the ``(n, 4)`` candidate ``entropies`` of ``n`` channels:
+    each one's winner, ``s_min`` (the least entropy), ``_REGIMES`` band and margin,
+    the entropy of the first axis with the least minus the Bell state's.  That
+    axis wins below the band (Product); the Bell state wins above it (Entangled)
+    and represents a tie within it (Boundary)."""
+    least = np.minimum.accumulate(entropies, axis=1)  # the best axis's entropy, then s_min
+    margins = least[:, _BELL - 1] - entropies[:, _BELL]
+    bands = _BAND_EDGES.searchsorted(margins)
+    return _WINNERS[bands, entropies[:, :_BELL].argmin(axis=1)], least[:, _BELL], bands, margins
 
 
 def candidate_entropy_gap(spec: ChannelSpec) -> float:
@@ -236,7 +229,7 @@ def candidate_entropy_gap(spec: ChannelSpec) -> float:
     of ``s_1``, ``s_2`` or ``s_3`` wins, positive where the Bell state
     (|00>+|11>)/sqrt2 does.
     """
-    return _best_axis(candidate_entropies(spec))[1]
+    return _optimum(_candidate_entropies(_joint_weights([spec.q], [spec.mu])))[3].item()
 
 
 def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
@@ -272,8 +265,9 @@ def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
     return mid
 
 
-#: Channels per stacked pass of ``_closed_form_rows``, which holds one block at a time.
-_BLOCK = 16
+#: Channels per stacked pass of ``_closed_form_rows``, which holds one block at a time;
+#: timed against 16, 128 and 256, 64 runs a 101-point sweep in two passes.
+_BLOCK = 64
 
 #: ``_holevo_inputs`` of each candidate's covariant ensemble, ``(4, 17, 4, 4)``,
 #: checked once here, and the uniform priors of those ensembles.
@@ -294,23 +288,25 @@ _LABEL_INPUTS = _frozen([
 _CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _LABEL_INPUTS]))
 
 
-def _closed_form_block(weights: np.ndarray) -> list[tuple[float, float, int, Regime]]:
-    """Closed-form ``(chi, s_min, winner, regime)`` of each channel of an ``(n, 16)``
-    weight stack, in order: one pass takes the candidate entropies, and one Holevo
-    pass weighs a gathered copy of each winner's _CANDIDATE_TERMS, one per output
-    label.  A channel's row has the same bits in any block."""
-    optima = [_candidate_optimum(row) for row in _candidate_entropies(weights).tolist()]
-    winners = np.array([winner for winner, _, _ in optima])
+def _closed_form_block(weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Closed-form ``chi``, ``s_min``, winner and ``_REGIMES`` band arrays of an
+    ``(n, 16)`` weight stack's channels: one pass takes the candidate entropies,
+    ``_optimum`` picks every winner, and one Holevo pass weighs a gathered copy of
+    each winner's _CANDIDATE_TERMS, one per label.  A channel has its bits in any block."""
+    winners, s_mins, bands, _ = _optimum(_candidate_entropies(weights))
     chis = _holevo_chis(weights, _UNIFORM_PRIORS, _CANDIDATE_TERMS[winners], _LABEL_ROWS[winners])
-    return [(chi, s_min, c, regime) for chi, (c, s_min, regime) in zip(chis.tolist(), optima)]
+    return chis, s_mins, winners, bands
 
 
 def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
-    """``_closed_form_block`` rows of each channel ``(q[k], mu[k])`` of ``(n, 4)``
-    checked weights and ``(n,)`` memory factors, built and run _BLOCK at a time."""
+    """``(chi, s_min, winner, regime)`` of each channel ``(q[k], mu[k])`` of ``(n, 4)``
+    checked weights and ``(n,)`` memory factors: one ``_closed_form_block`` per _BLOCK
+    channels, each of its arrays read with one ``tolist``."""
     for start in range(0, len(mu), _BLOCK):
         block = slice(start, start + _BLOCK)
-        yield from _closed_form_block(_joint_weights(q[block], mu[block]))
+        chis, s_mins, winners, bands = _closed_form_block(_joint_weights(q[block], mu[block]))
+        regimes = map(_REGIMES.__getitem__, bands.tolist())
+        yield from zip(chis.tolist(), s_mins.tolist(), winners.tolist(), regimes)
 
 
 def two_qubit_capacity(
@@ -327,10 +323,11 @@ def two_qubit_capacity(
     that is the paper's optimal input, and ``capacity_symmetric`` is its
     independent oracle.  ``force_numeric`` runs the global search with
     ``config`` in its place and freezes the state it finds; the regime
-    still comes from the row.  The saturation gap ``|chi - (2 - s_min)|``
+    still comes from the block.  The saturation gap ``|chi - (2 - s_min)|``
     stays below 1e-8 for every Pauli memory channel regardless of route.
     """
-    [(chi, s_min, winner, regime)] = _closed_form_block(_joint_weights([spec.q], [spec.mu]))
+    weights = _joint_weights([spec.q], [spec.mu])
+    chi, s_min, winner, band = (column.item() for column in _closed_form_block(weights))
     if force_numeric:
         found = minimize_output_entropy(spec, config)
         chi, s_min = holevo_chi(spec, covariant_ensemble(found.state)), found.entropy_bits
@@ -340,5 +337,5 @@ def two_qubit_capacity(
         method = MOEMethod.ANALYTIC_CLOSED_FORM
     return CapacityResult(
         chi_bits=chi, s_min_bits=s_min, saturation_gap=abs(chi - (2.0 - s_min)), state=state,
-        regime=regime, method=method, converged=converged,
+        regime=_REGIMES[band], method=method, converged=converged,
     )

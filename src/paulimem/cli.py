@@ -382,10 +382,12 @@ class _CommandParser(argparse.ArgumentParser):
     and reports the arguments left after it."""
 
     def parse_known_args(self, args=None, namespace=None):
-        args = list(args)
+        args, actions = list(args), self._option_string_actions
         for k in reversed(range(len(args) - 1)):
-            action, value = self._option_string_actions.get(args[k]), args[k + 1].split(",")[0]
-            if action is not None and action.nargs is None and value.startswith("-"):
+            arg, value = args[k], args[k + 1].split(",")[0]
+            prefix = self.allow_abbrev and arg[:2] == "--" != arg  # argparse's abbreviations
+            names = [arg] if arg in actions else [n for n in actions if prefix and n.startswith(arg)]
+            if len(names) == 1 and actions[names[0]].nargs is None and value.startswith("-"):
                 with suppress(ValueError):  # joined only where float() reads the first item
                     float(value)
                     args[k : k + 2] = [f"{args[k]}={args[k + 1]}"]

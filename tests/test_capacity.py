@@ -41,6 +41,7 @@ from paulimem.spectral import density_spectra, shannon_entropy_bits, von_neumann
 from paulimem.symmetric import SymmetricParams, capacity_symmetric, optimal_input
 from util import (
     CANDIDATES,
+    candidate_optimum_oracle,
     candidate_spectra_oracle,
     kraus_sum_oracle,
     mixed_channels,
@@ -465,7 +466,10 @@ def _bits(result) -> tuple:
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, capacity._BLOCK + 1, 3 * capacity._BLOCK + 5])
+# Ids name the sizes by the block, so they hold whatever _BLOCK is.
+@pytest.mark.parametrize(
+    "n", [1, 2, capacity._BLOCK + 1, 3 * capacity._BLOCK + 5], ids=["1", "2", "block+1", "3block+5"]
+)
 def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
     specs = _stack_channels(np.random.default_rng(100 + n), n)
     rows = _rows(specs)
@@ -610,7 +614,7 @@ def _signed_zero_copy(spec: ChannelSpec) -> ChannelSpec:
     return ChannelSpec(tuple(-0.0 if w == 0.0 else w for w in spec.q), spec.mu)
 
 
-@pytest.mark.parametrize("n", [1, 2, capacity._BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, capacity._BLOCK + 1], ids=["1", "2", "block+1"])
 def test_candidate_entropies_have_the_bits_of_the_offset_bincount(n):
     # The label-pair table adds each label's 4 weights in pair order from +0.0,
     # as the offset bincount did: the spectra keep its bits, signed zeros included.
@@ -672,8 +676,9 @@ def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
     rows = _rows(specs)
     winners = []
     for spec, row in zip(specs, rows):
-        winner, s_min, regime = capacity._candidate_optimum(candidate_entropies(spec))
+        winner, s_min, regime, margin = candidate_optimum_oracle(candidate_entropies(spec))
         assert (row[1].hex(), *row[2:]) == (s_min.hex(), winner, regime)
+        assert candidate_entropy_gap(spec).hex() == margin.hex()
         assert _row_bits(row) == _bits(two_qubit_capacity(spec))
         winners.append(winner)
     assert set(winners) == set(range(len(_CANDIDATES)))
@@ -686,6 +691,49 @@ def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
         held = np.add.accumulate(capacity._UNIFORM_PRIORS * entropies[:, 1:], axis=1)[:, -1]
         for chi, row in zip((entropies[:, 0] - held).tolist(), rows[block]):
             assert row[0].hex() == chi.hex()
+
+
+def _band_rows() -> list[list[float]]:
+    """Synthetic candidate entropy rows around the Boundary band's edges and ties."""
+    tol = capacity.BOUNDARY_TOL
+    edges = [math.nextafter(tol, 0.0), tol, math.nextafter(tol, 1.0)]
+    return [
+        # A margin of exactly +-tol and the next float on each side.
+        *([e, 1.0, 1.0, 0.0] for e in edges),
+        *([0.0, 1.0, 1.0, e] for e in edges),
+        # Two or three axes tied: the first of them is the best axis.
+        [0.5, 0.5, 0.7, 1.0], [0.7, 0.5, 0.5, 1.0], [0.5, 0.7, 0.5, 1.0],
+        [0.5, 0.5, 0.5, 1.0], [0.5, 0.5, 0.5, 0.25], [0.5 + tol, 0.5, 0.5, 0.5],
+        # All four equal, as for the identity channel q = (1, 0, 0, 0).
+        [0.0, 0.0, 0.0, 0.0], [1.5, 1.5, 1.5, 1.5],
+        # Each winner in turn.
+        [0.1, 0.3, 0.4, 0.9], [0.3, 0.1, 0.4, 0.9], [0.3, 0.4, 0.1, 0.9], [0.3, 0.4, 0.5, 0.1],
+    ]
+
+
+def test_the_array_winner_rule_has_the_bits_of_the_per_row_rule():
+    rows = _band_rows()
+    winners, s_mins, bands, margins = capacity._optimum(np.array(rows))
+    assert winners.shape == s_mins.shape == bands.shape == margins.shape == (len(rows),)
+    for row, *got in zip(rows, winners.tolist(), s_mins.tolist(), bands.tolist(), margins.tolist()):
+        winner, s_min, regime, margin = candidate_optimum_oracle(row)
+        assert (got[0], got[1].hex(), capacity._REGIMES[got[2]], got[3].hex()) == (
+            winner, s_min.hex(), regime, margin.hex()
+        ), row
+    regimes = [capacity._REGIMES[band] for band in bands.tolist()]
+    # The band holds both of its edges and nothing beyond them.
+    assert regimes[:6] == [Regime.BOUNDARY, Regime.BOUNDARY, Regime.ENTANGLED] + [
+        Regime.BOUNDARY, Regime.BOUNDARY, Regime.PRODUCT
+    ]
+    assert winners[6:].tolist() == [0, 1, 0, 0, 3, 3, 3, 3, 0, 1, 2, 3]
+    assert regimes[10:14] == [Regime.ENTANGLED] + [Regime.BOUNDARY] * 3
+    # One block holds every winner; each row has the bits it has alone.
+    assert set(winners.tolist()) == set(range(len(_CANDIDATES)))
+    for k, row in enumerate(rows):
+        alone = capacity._optimum(np.array([row]))
+        assert [a.tobytes() for a in alone] == [a[k : k + 1].tobytes() for a in (
+            winners, s_mins, bands, margins
+        )]
 
 
 def test_a_closed_form_block_makes_one_eigvalsh_call():
@@ -786,6 +834,8 @@ def test_two_qubit_capacity_builds_every_capacity_result():
     assert len(_constructions(tree, "CapacityResult")) == 1
     assert len(_constructions(function, "CapacityResult")) == 1
     assert "_closed_form" not in _top_level_names(capacity)
+    # One winner rule, on arrays, serves points, sweeps and the gap: no per-row rule is left.
+    assert not {"_candidate_optimum", "_best_axis"} & _top_level_names(capacity)
 
 
 def test_capacity_owns_the_candidates_and_the_regime_rule():

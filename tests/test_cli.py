@@ -628,13 +628,23 @@ def test_a_q_value_that_starts_with_a_minus_reads_alike_in_both_spellings(q):
         (["sweep-mu", "--family", "symmetric", "--param", "0.3"], "--mu-min", "-inf"),
         (["capacity", "--mu", "0.3"], "--q", "-inf,0.5,0.25,0.25"),
         (["capacity", "--mu", "0.3"], "--q", "-1e-3,0.5,0.25,0.25"),
+        # Prefixes that name one option, as argparse reads them.
+        (["sweep-mu", "--family", "symmetric", "--param", "0.3"], "--mu-ma", "-1e-3"),
+        (["capacity", "--family", "symmetric", "--param", "0.3"], "--m", "-inf"),
+        (["capacity", "--family", "symmetric", "--mu", "0.3"], "--par", "-1e-3"),
     ],
-    ids=["mu", "mu-inf", "param", "mu-min-inf", "q-inf", "q"],
+    ids=["mu", "mu-inf", "param", "mu-min-inf", "q-inf", "q", "mu-ma", "m-inf", "par"],
 )
 def test_a_negative_value_reads_alike_in_both_spellings(argv, option, value):
     spaced = run_captured([*argv, option, value])
     assert spaced == run_captured([*argv, f"{option}={value}"])
     assert spaced[0] == 2 and "expected one argument" not in spaced[2]
+
+
+def test_an_ambiguous_prefix_takes_no_negative_value():
+    code, out, err = run_captured(["sweep-mu", "--q", "0.4,0.3,0.2,0.1", "--mu", "-1e-3"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: ambiguous option: --mu could match --mu-min, --mu-max\n")
 
 
 @pytest.mark.parametrize("value", ["-", "--json"])
@@ -1048,17 +1058,17 @@ def test_closed_form_sweep_has_the_bytes_of_single_points():
     assert regimes == ["Product"] * 80 + ["Entangled"] * 21
 
 
-def _point_rows(family, build, points, key, halve):
-    """The sweep records of ``points``, each computed alone by ``two_qubit_capacity``."""
-    rows = []
-    for param, mu in points:
-        result = two_qubit_capacity(build(param, mu))
-        rows.append({
+def _point_rows(family, points, results, key, halve):
+    """The sweep records of ``points``, whose ``results`` were each computed alone
+    by ``two_qubit_capacity``."""
+    return [
+        {
             "family": family, "param": param, "mu": mu, "s_min_bits": result.s_min_bits,
             key: result.chi_bits / 2.0 if halve else result.chi_bits,
             "regime": result.regime.value, "method": "Analytic",
-        })
-    return rows
+        }
+        for (param, mu), result in zip(points, results)
+    ]
 
 
 def _point_text(rows, as_json):
@@ -1119,10 +1129,11 @@ def test_sweep_rows_have_the_bits_of_points_computed_alone():
     total = 0
     for argv, family, build, points in _sweep_cases(2024):
         total += len(points)
+        results = [two_qubit_capacity(build(param, mu)) for param, mu in points]
         for extra in ([], ["--json"], ["--per-qubit"], ["--json", "--per-qubit"]):
             halve = "--per-qubit" in extra
             key = "capacity_bits_per_qubit" if halve else "capacity_bits"
-            rows = _point_rows(family, build, points, key, halve)
+            rows = _point_rows(family, points, results, key, halve)
             expected = _point_text(rows, "--json" in extra)
             assert run_captured(argv + extra) == (0, expected, ""), argv + extra
     assert total >= 3000

@@ -1,10 +1,11 @@
 """Shared random generators (all explicitly seeded), candidate inputs, the
 per-row Shannon oracle, the offset-bincount candidate-spectra oracle, the
-one-stage Kraus-sum oracle and the einsum superoperator oracle for the test
-suite."""
+per-row candidate-optimum oracle, the one-stage Kraus-sum oracle and the
+einsum superoperator oracle for the test suite."""
 
 import numpy as np
 
+from paulimem.capacity import BOUNDARY_TOL, Regime
 from paulimem.channel import _PERM, _PHASE, ChannelSpec, kraus_operators, preset_symmetric
 from paulimem.checks import random_pure_state, random_spec  # noqa: F401
 
@@ -70,6 +71,27 @@ def candidate_spectra_oracle(weights, labels) -> np.ndarray:
     bins = (labels + 4 * np.arange(c)[:, None]) + 4 * c * np.arange(n)[:, None, None]
     pairs = np.broadcast_to(weights[:, None, :], bins.shape)
     return np.bincount(bins.ravel(), pairs.ravel(), minlength=4 * c * n).reshape(n, c, 4)
+
+
+def candidate_optimum_oracle(entropies) -> tuple[int, float, Regime, float]:
+    """Winner, ``s_min``, regime and margin of one channel, given its four
+    candidate entropies (Z, X, Y axes, then the Bell state), one row at a time.
+
+    The per-row rule the array rule replaced: the first axis with the least
+    entropy and its margin over the Bell state.  The axis wins below
+    -BOUNDARY_TOL, the Bell state above BOUNDARY_TOL and on a tie within it.
+    The closed form must give each channel exactly these bits.
+    """
+    entropies = [float(e) for e in entropies]
+    axis = min(range(3), key=entropies.__getitem__)
+    margin = entropies[axis] - entropies[3]
+    if abs(margin) <= BOUNDARY_TOL:
+        winner, regime = 3, Regime.BOUNDARY
+    elif margin > 0.0:
+        winner, regime = 3, Regime.ENTANGLED
+    else:
+        winner, regime = axis, Regime.PRODUCT
+    return winner, min(entropies), regime, margin
 
 
 def kraus_sum_oracle(weights, rho) -> np.ndarray:
