@@ -14,7 +14,7 @@ The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
 restart simplices in lock-step: each step scores the trial points of
 every running simplex in one call (states, one stacked product with the
 channel's 16x16 matrix, built once per search, so that no point's value
-depends on its batch, and one stacked ``eigvalsh``).  Each restart ends
+depends on its batch, and one stacked ``_eigvalsh``).  Each restart ends
 exactly where it would end alone.  The first eight restarts start on
 the computational basis and Bell states; the rest start at points drawn
 uniformly from the angle box by ``np.random.default_rng(seed)``.
@@ -30,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .channel import ChannelSpec, _joint_weights, _kraus_terms, _weigh_terms, apply
-from .spectral import require_unit_norm, von_neumann_entropy_bits
+from .spectral import _eigvalsh, require_unit_norm, von_neumann_entropy_bits
 
 #: Most restarts one search takes; their simplices descend in one batch.
 MAX_RESTARTS = 10_000
@@ -160,7 +160,7 @@ def _entropy_objective(spec: ChannelSpec):
     def objective(angles: np.ndarray) -> np.ndarray:
         v = _pure_states(angles)
         rho = (v[:, :, None] * v[:, None, :].conj()).reshape(-1, 1, 16)
-        spectra = np.linalg.eigvalsh((rho @ sup).reshape(-1, 4, 4))
+        spectra = _eigvalsh((rho @ sup).reshape(-1, 4, 4))
         # 0 log 0 = 0: a zero or dust eigenvalue meets log2(1) = 0.
         logs = np.log2(np.where(spectra > 1e-300, spectra, 1.0))
         return -(spectra * logs).sum(axis=1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 #: Bound on ||M - M+||_max accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -42,15 +43,22 @@ def _require(ok: np.ndarray, member: str | None, message: str, values=None) -> N
         raise ValueError(f"{member} {k}: {text}" if member else text)
 
 
+def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex ``(..., 4, 4)`` stack: src's one call of the gufunc
+    behind ``np.linalg.eigvalsh``, without that wrapper's checks and ``errstate``, so a LAPACK
+    failure gives NaN, which ``density_spectra`` rejects, in place of ``LinAlgError``."""
+    return _eigvalsh_lo(stack, signature="D->d")
+
+
 def density_spectra(rho) -> np.ndarray:
     """Spectra of a two-qubit density matrix or of each member of a
     nonempty ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
 
     The one check of a two-qubit state: Hermitian within HERMITIAN_TOL, no
     eigenvalue below -DUST_TOL and a spectrum that sums to one within
-    TRACE_TOL.  NaN fails every check; the message names the first bad
-    member of a stack, worked out only once a check fails.  One ``eigvalsh``
-    takes the whole stack, and each member keeps the bits it has alone.
+    TRACE_TOL.  NaN fails every check.  Each is one whole-stack test; the first
+    bad member, which the message names, is worked out only once it fails.
+    One ``_eigvalsh`` takes the whole stack, and each member keeps the bits it has alone.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
@@ -63,13 +71,14 @@ def density_spectra(rho) -> np.ndarray:
         defects = np.maximum.reduce(np.abs(skew).reshape(-1, 16), axis=1)
         message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
         _require(defects <= HERMITIAN_TOL, member, message, defects)
-    spectra = np.linalg.eigvalsh(rho)[..., ::-1].copy()
+    spectra = _eigvalsh(rho)[..., ::-1].copy()
     rows = spectra.reshape(-1, 4)
     traces = np.add.reduce(rows, axis=1)
-    if not np.logical_and.reduce((rows[:, -1] >= -DUST_TOL) & (abs(traces - 1.0) <= TRACE_TOL)):
+    if not (np.minimum.reduce(rows[:, -1]) >= -DUST_TOL
+            and np.maximum.reduce(abs(traces - 1.0)) <= TRACE_TOL):
         message = "not positive semidefinite: smallest eigenvalue {:.3e}"
         _require(rows[:, -1] >= -DUST_TOL, member, message, rows[:, -1])
-        _require(np.abs(traces - 1.0) <= TRACE_TOL, member, "trace is {!r}, not 1", traces)
+        _require(abs(traces - 1.0) <= TRACE_TOL, member, "trace is {!r}, not 1", traces)
     return spectra
 
 
@@ -123,7 +132,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.minimum(np.maximum(rows, 0.0), 1.0)
     logs = np.log2(rows, out=np.zeros(rows.shape), where=rows > 0.0)
-    return -np.add.reduce(rows * logs, axis=1) + 0.0  # +0.0 turns -0.0 into 0.0
+    return 0.0 - np.add.reduce(rows * logs, axis=1)  # not -sum: a zero entropy is +0.0
 
 
 def shannon_entropy_bits(p) -> float | np.ndarray:
@@ -142,13 +151,14 @@ def shannon_entropy_bits(p) -> float | np.ndarray:
         )
     rows = p.reshape(-1, p.shape[-1])
     row = "row" if p.ndim == 2 else None
-    smallest, totals = np.minimum.reduce(rows, axis=1), np.add.reduce(rows, axis=1)
-    nonnegative, normalized = smallest >= -DUST_TOL, abs(totals - 1.0) <= PROB_SUM_TOL
-    # A non-finite entry fails one of the two as well, through a NaN or infinite min or sum.
-    if not np.logical_and.reduce(nonnegative & normalized):
+    sums = np.add.reduce(rows, axis=1)
+    # A non-finite entry fails the whole-stack test too, through a NaN or infinite min or sum.
+    if not (np.minimum.reduce(rows, axis=None) >= -DUST_TOL
+            and np.maximum.reduce(abs(sums - 1.0)) <= PROB_SUM_TOL):
         _require(np.isfinite(rows).all(axis=1), row, "probabilities must be finite")
-        _require(nonnegative, row, "negative probability {:.3e} beyond tolerance", smallest)
-        _require(normalized, row, "probabilities sum to {!r}, not 1", totals)
+        least = np.minimum.reduce(rows, axis=1)
+        _require(least >= -DUST_TOL, row, "negative probability {:.3e} beyond tolerance", least)
+        _require(abs(sums - 1.0) <= PROB_SUM_TOL, row, "probabilities sum to {!r}, not 1", sums)
     entropies = _row_entropies(rows)
     return float(entropies[0]) if p.ndim == 1 else entropies
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulimem import capacity, channel, checks, symmetric
+from paulimem import capacity, channel, checks, spectral, symmetric
 from paulimem.capacity import (
     _CANDIDATES,
     CapacityResult,
@@ -743,7 +743,7 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
         ChannelSpec((0.5, 0.05, 0.05, 0.4), 0.3),
         preset_symmetric(0.3, 0.9),
     ] * (capacity._BLOCK // 4)
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+    with mock.patch.object(spectral, "_eigvalsh", wraps=spectral._eigvalsh) as eigvalsh:
         rows = _rows(specs)
     # The candidate inputs were checked at import; only the outputs are diagonalized,
     # the average's and one per output label of each channel's winner.
@@ -755,7 +755,7 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
 def test_a_closed_form_point_makes_one_eigvalsh_call():
     # A single point is one block of one channel: one Shannon pass over its
     # four candidate spectra and one eigvalsh over its winner's five outputs.
-    eigvalsh = mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh)
+    eigvalsh = mock.patch.object(spectral, "_eigvalsh", wraps=spectral._eigvalsh)
     shannon = mock.patch.object(capacity, "shannon_entropy_bits", wraps=shannon_entropy_bits)
     with eigvalsh as eig, shannon as entropy:
         two_qubit_capacity(ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.6))

@@ -27,7 +27,7 @@ from paulimem.search import (
     parametrize_pure_state,
     schmidt_coefficients,
 )
-from paulimem.spectral import von_neumann_entropy_bits
+from paulimem.spectral import _eigvalsh, von_neumann_entropy_bits
 from paulimem.symmetric import Regime, SymmetricParams, optimal_input
 from util import CANDIDATES, random_density_matrix, superoperator_oracle
 
@@ -287,6 +287,27 @@ def test_objective_has_the_same_bits_from_the_oracle_matrix(monkeypatch):
             patch.setattr(search, "_superoperator", superoperator_oracle)
             oracle_values = _entropy_objective(spec)(angles)
         assert values.tobytes() == oracle_values.tobytes()
+
+
+def test_objective_has_the_bits_of_numpys_eigvalsh(monkeypatch):
+    # The objective calls spectral's eigenvalue entry point; with numpy's own
+    # wrapper in its place, every (B, 4, 4) stack and every value keep their bits.
+    rng = np.random.default_rng(68)
+    for spec in search_matrix_channels()[::100]:
+        objective = _entropy_objective(spec)
+        for batch in (1, 7, 64):
+            angles = rng.uniform(-4, 8, size=(batch, 6))
+            angles[::3, :3] = [0.0, math.pi / 2, math.pi / 4]  # |00>: exact and signed zeros
+            stacks = []
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "_eigvalsh", lambda a: stacks.append(a) or _eigvalsh(a))
+                values = objective(angles)
+            [stack] = stacks
+            assert stack.shape == (batch, 4, 4)
+            assert _eigvalsh(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "_eigvalsh", np.linalg.eigvalsh)
+                assert objective(angles).tobytes() == values.tobytes()
 
 
 def test_each_restart_descends_alone_as_in_the_batch():

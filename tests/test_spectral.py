@@ -1,16 +1,21 @@
 """State spectra and entropies, checked against a characteristic-polynomial oracle."""
 
+import ast
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulimem.channel import apply, preset_symmetric
+import paulimem
+from paulimem import capacity, spectral
+from paulimem.channel import ChannelSpec, apply, preset_symmetric
 from paulimem.pauli import pauli_pair
-from paulimem.spectral import HERMITIAN_TOL, density_spectra, shannon_entropy_bits
-from paulimem.spectral import von_neumann_entropy_bits
+from paulimem.spectral import DUST_TOL, HERMITIAN_TOL, PROB_SUM_TOL, TRACE_TOL, density_spectra
+from paulimem.spectral import shannon_entropy_bits, von_neumann_entropy_bits
 from util import random_density_matrix, shannon_row_oracle
 
 # Output entropy of the Bell state through the symmetric channel with
@@ -355,3 +360,187 @@ def test_the_exact_adjoint_fast_path_falls_back_to_every_check():
     bad = with_member(bad, 2, np.diag([0.5, 0.3, 0.2, 0.1]))
     with pytest.raises(ValueError, match=r"^member 1: not positive semidefinite: .*-1\.000e-01$"):
         density_spectra(bad)
+
+
+def _calls_by_module(name: str) -> dict[str, int]:
+    """How many calls each src module makes of a function named or reached as ``name``."""
+    counts = {}
+    for path in sorted(Path(paulimem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    counts[path.stem] = counts.get(path.stem, 0) + 1
+    return counts
+
+
+def test_spectral_holds_the_one_call_of_the_eigenvalue_gufunc():
+    # numpy's wrapper is called nowhere; its gufunc once, in spectral's entry point,
+    # which the state check and the search objective call.
+    assert _calls_by_module("eigvalsh") == {}
+    assert _calls_by_module("_eigvalsh_lo") == {"spectral": 1}
+    assert set(_calls_by_module("_eigvalsh")) == {"spectral", "search"}
+    for path in Path(paulimem.__file__).parent.glob("*.py"):
+        mentions = "_umath_linalg" in path.read_text()
+        assert mentions == (path.stem == "spectral"), path.stem
+
+
+def _same_bits_as_numpy(stack: np.ndarray) -> None:
+    assert spectral._eigvalsh(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
+
+
+def _winner_channels(rng, n: int) -> list[ChannelSpec]:
+    """``n`` channels in turn Z-, X-, Y- and Bell-optimal, with seeded weights."""
+    specs = []
+    for k in range(n):
+        big, small, mu = rng.uniform(0.35, 0.45), rng.uniform(0.02, 0.08), rng.uniform(0.2, 0.4)
+        q = [0.5, small, small, small]
+        if k % 4 < 3:
+            q[k % 4 + 1] = big
+            specs.append(ChannelSpec(tuple(np.array(q) / sum(q)), float(mu)))
+        else:  # |4p - 1| <= 0.2 < mu: the Bell state wins
+            specs.append(preset_symmetric(float(rng.uniform(0.2, 0.3)), float(mu + 0.55)))
+    return specs
+
+
+@pytest.mark.parametrize("n", [1, capacity._BLOCK])
+def test_the_entry_point_has_numpys_bits_on_every_winners_outputs(n):
+    specs = _winner_channels(np.random.default_rng(40 + n), 4 * n)
+    for start in range(0, 4 * n, n):
+        block = specs[start : start + n]
+        weights = capacity._joint_weights([s.q for s in block], [s.mu for s in block])
+        with mock.patch.object(spectral, "_eigvalsh", wraps=spectral._eigvalsh) as eigvalsh:
+            winners = capacity._closed_form_block(weights)[2]
+        [(stack,)] = [call.args for call in eigvalsh.call_args_list]
+        assert stack.shape == (5 * len(block), 4, 4)
+        _same_bits_as_numpy(stack)
+        if n == 1:
+            assert winners.tolist() == [start]
+    if n > 1:
+        assert set(winners.tolist()) == {0, 1, 2, 3}
+
+
+def test_the_entry_point_has_numpys_bits_on_exact_and_signed_zeros():
+    # Diagonal and projector states with exact +0.0 and -0.0 entries, real and imaginary.
+    s = 1 / math.sqrt(2)
+    kets = np.array([[1, 0, 0, 0], [s, 0, 0, s], [0.5, 0.5j, 0.5j, -0.5], [0, 0, 0, 1]])
+    projectors = kets[:, :, None] * kets[:, None, :].conj()
+    diagonals = np.array([np.diag(d) for d in (
+        [1.0, 0.0, 0.0, 0.0], [0.5, -0.0, 0.5, 0.0], [0.25] * 4, [-0.0, -0.0, 1.0, -0.0],
+    )], dtype=complex)
+    signed = projectors.copy()
+    signed[signed == 0] = complex(-0.0, -0.0)
+    signed.imag[signed.imag == 0] = -0.0
+    for stack in (projectors, diagonals, signed, np.concatenate((projectors, signed))):
+        _same_bits_as_numpy(stack)
+        for member in stack:
+            _same_bits_as_numpy(member)
+    assert np.array_equal(density_spectra(signed), density_spectra(projectors))
+
+
+def _edges(tol: float) -> list[tuple[float, float]]:
+    """Above and below one: the float ``t`` furthest from one with ``|t - 1| <= tol``,
+    and the next float beyond it."""
+    edges = []
+    for away in (math.inf, -math.inf):
+        t = 1.0 + math.copysign(tol, away)
+        while abs(t - 1.0) > tol:
+            t = math.nextafter(t, 1.0)
+        while abs(math.nextafter(t, away) - 1.0) <= tol:
+            t = math.nextafter(t, away)
+        edges.append((t, math.nextafter(t, away)))
+    return edges
+
+
+BELOW_DUST = math.nextafter(-DUST_TOL, -math.inf)
+
+
+def _state_with_least(least: float) -> np.ndarray:
+    return np.diag([0.5, 0.25, 0.25 - least, least]).astype(complex)
+
+
+def _state_with_trace(trace: float) -> np.ndarray:
+    return np.diag([trace - 0.5, 0.5, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "edge, beyond, message",
+    [
+        (_state_with_least(-DUST_TOL), _state_with_least(BELOW_DUST), "not positive semidefinite"),
+        *[(_state_with_trace(t), _state_with_trace(b), "trace is") for t, b in _edges(TRACE_TOL)],
+    ],
+    ids=["least", "trace-above", "trace-below"],
+)
+def test_the_whole_stack_state_test_holds_its_edges(edge, beyond, message):
+    stack = density_stack(np.random.default_rng(33), 4)
+    stack[0] = np.eye(4) / 4
+    # On the edge: accepted by the whole-stack test, without a per-member check.
+    with mock.patch.object(spectral, "_require", wraps=spectral._require) as require:
+        spectra = density_spectra(with_member(stack, 2, edge))
+    assert require.call_count == 0
+    assert spectra[2].tolist() == sorted(np.diag(edge).real.tolist(), reverse=True)
+    # One float beyond it: rejected, naming that member and not the one on the edge.
+    with pytest.raises(ValueError, match=f"^member 3: {message}"):
+        density_spectra(with_member(with_member(stack, 2, edge), 3, beyond))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        density_spectra(beyond)
+
+
+@pytest.mark.parametrize(
+    "entries, value, message",
+    [
+        (slice(None), math.nan, "not positive semidefinite: smallest eigenvalue nan"),
+        (3, math.nan, "trace is nan, not 1"),
+        (0, -math.inf, "not positive semidefinite: smallest eigenvalue -inf"),
+        (3, math.inf, "trace is inf, not 1"),
+    ],
+    ids=["nan", "nan-largest", "minus-inf", "inf"],
+)
+def test_a_failed_lapack_call_fails_the_whole_stack_state_test(entries, value, message):
+    # A LAPACK failure leaves a member's eigenvalues NaN; the state check rejects
+    # non-finite eigenvalues with ValueError and names the member.
+    stack = density_stack(np.random.default_rng(34), 4)
+    spectra = np.linalg.eigvalsh(stack)
+    spectra[2, entries] = value
+    with mock.patch.object(spectral, "_eigvalsh", return_value=spectra):
+        with pytest.raises(ValueError, match=f"^member 2: {message}$"):
+            density_spectra(stack)
+
+
+def _row_with_least(least: float) -> list[float]:
+    return [0.5, 0.25, 0.25 - least, least]
+
+
+def _row_with_sum(total: float) -> list[float]:
+    return [total - 0.5, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "edge, beyond, message",
+    [
+        (_row_with_least(-DUST_TOL), _row_with_least(BELOW_DUST), "negative probability"),
+        *[(_row_with_sum(t), _row_with_sum(b), "probabilities sum")
+          for t, b in _edges(PROB_SUM_TOL)],
+    ],
+    ids=["least", "sum-above", "sum-below"],
+)
+def test_the_whole_stack_probability_test_holds_its_edges(edge, beyond, message):
+    rows = np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], edge, [0.5, 0.5, 0.0, 0.0]])
+    with mock.patch.object(spectral, "_require", wraps=spectral._require) as require:
+        entropies = shannon_entropy_bits(rows)
+    assert require.call_count == 0
+    assert entropies[2] == shannon_entropy_bits(edge)
+    rows[3] = beyond
+    with pytest.raises(ValueError, match=f"^row 3: {message}"):
+        shannon_entropy_bits(rows)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        shannon_entropy_bits(beyond)
+
+
+@pytest.mark.parametrize("row", [1, 2, 3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_past_the_first_row_is_named(row, value):
+    rows = np.array([[0.25] * 4, [0.5, 0.5, 0, 0], [1.0, 0, 0, 0], [0, 0, 0.5, 0.5]])
+    rows[row, 1] = value
+    with pytest.raises(ValueError, match=f"^row {row}: probabilities must be finite$"):
+        shannon_entropy_bits(rows)
