@@ -135,15 +135,15 @@ def _holevo_chis(
     weights: np.ndarray, priors: np.ndarray, terms: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Holevo quantity of ``_holevo_inputs`` stack ``c`` through channel ``c``,
-    for ``(n, 16)`` weights, ``(m,)`` priors, the ``(n, d, 16, 4, 4)``
+    for ``(n, 16)`` weights, ``(m,)`` priors, the pair-major ``(n, 16, d, 4, 4)``
     ``_kraus_terms`` of ``d`` inputs, which it overwrites, and the ``(n, m + 1)``
     index ``rows`` of each row of stack ``c`` among channel ``c``'s ``d`` inputs.
 
-    One stacked weighing of the terms, one ``von_neumann_entropy_bits``,
+    One ``_weigh_terms`` of the whole stack, one ``von_neumann_entropy_bits``,
     which checks every output, a gather of each row's entropy, and the
     terms ``p_i S_i`` added one member column at a time, in member order.
     """
-    n, d = terms.shape[:2]
+    n, _, d = terms.shape[:3]
     outputs = _weigh_terms(weights, terms).reshape(n * d, 4, 4)
     entropies = von_neumann_entropy_bits(outputs)[rows + d * np.arange(n)[:, None]]
     # accumulate adds one member at a time, in member order; a sum would pair them.
@@ -210,14 +210,19 @@ _WINNERS = _frozen([[0, 1, 2], [_BELL] * 3, [_BELL] * 3], int)
 _REGIMES = (Regime.PRODUCT, Regime.BOUNDARY, Regime.ENTANGLED)  # of each band
 
 
+def _margins(entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's running minimum (the best axis's entropy, then ``s_min``) and margin."""
+    least = np.minimum.accumulate(entropies, axis=1)
+    return least, least[:, _BELL - 1] - entropies[:, _BELL]
+
+
 def _optimum(entropies: np.ndarray) -> tuple[np.ndarray, ...]:
     """The winner rule, on the ``(n, 4)`` candidate ``entropies`` of ``n`` channels:
     each one's winner, ``s_min`` (the least entropy), ``_REGIMES`` band and margin,
     the entropy of the first axis with the least minus the Bell state's.  That
     axis wins below the band (Product); the Bell state wins above it (Entangled)
     and represents a tie within it (Boundary)."""
-    least = np.minimum.accumulate(entropies, axis=1)  # the best axis's entropy, then s_min
-    margins = least[:, _BELL - 1] - entropies[:, _BELL]
+    least, margins = _margins(entropies)
     bands = _BAND_EDGES.searchsorted(margins)
     return _WINNERS[bands, entropies[:, :_BELL].argmin(axis=1)], least[:, _BELL], bands, margins
 
@@ -229,7 +234,7 @@ def candidate_entropy_gap(spec: ChannelSpec) -> float:
     of ``s_1``, ``s_2`` or ``s_3`` wins, positive where the Bell state
     (|00>+|11>)/sqrt2 does.
     """
-    return _optimum(_candidate_entropies(_joint_weights([spec.q], [spec.mu])))[3].item()
+    return _margins(_candidate_entropies(_joint_weights([spec.q], [spec.mu])))[1].item()
 
 
 def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
@@ -283,9 +288,9 @@ _LABEL_INPUTS = _frozen([
     inputs[np.unique(rows, return_index=True)[1]]
     for inputs, rows in zip(_CANDIDATE_INPUTS, _LABEL_ROWS)
 ])
-# Stacked per candidate, so each candidate's terms are one contiguous block,
-# in the memory order _kraus_terms gives them, and a gather copies whole blocks.
-_CANDIDATE_TERMS = _frozen(np.stack([_kraus_terms(inputs) for inputs in _LABEL_INPUTS]))
+# Pair-major per candidate, (4, 16, 5, 4, 4): each candidate's terms are one
+# contiguous block, so a block's one take copies whole blocks in _weigh_terms' order.
+_CANDIDATE_TERMS = _frozen(_kraus_terms(_LABEL_INPUTS))
 
 
 def _closed_form_block(weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -294,7 +299,8 @@ def _closed_form_block(weights: np.ndarray) -> tuple[np.ndarray, ...]:
     ``_optimum`` picks every winner, and one Holevo pass weighs a gathered copy of
     each winner's _CANDIDATE_TERMS, one per label.  A channel has its bits in any block."""
     winners, s_mins, bands, _ = _optimum(_candidate_entropies(weights))
-    chis = _holevo_chis(weights, _UNIFORM_PRIORS, _CANDIDATE_TERMS[winners], _LABEL_ROWS[winners])
+    terms = _CANDIDATE_TERMS.take(winners, axis=0)
+    chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _LABEL_ROWS[winners])
     return chis, s_mins, winners, bands
 
 

@@ -105,10 +105,12 @@ def kraus_operators(spec: ChannelSpec) -> np.ndarray:
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero
 # entry, _PHASE[k, a], in column _PERM[k, a].  The phases are exact units
-# (+-1, +-i), so _TERM_PHASE[k, a, d] = ph_k(a) conj(ph_k(d)) is exact too.
+# (+-1, +-i), so _TERM_PHASE[k, 0, a, d] = ph_k(a) conj(ph_k(d)) is exact too;
+# _TERM_INDEX[k, 0, a, d] = 4 perm_k(a) + perm_k(d) is its input entry's flat index.
 _PERM = np.abs(_PAIR_STACK).argmax(axis=-1)
 _PHASE = np.take_along_axis(_PAIR_STACK, _PERM[..., None], axis=-1)[..., 0]
-_TERM_PHASE = _PHASE[:, :, None] * _PHASE.conj()[:, None, :]
+_TERM_PHASE = (_PHASE[:, :, None] * _PHASE.conj()[:, None, :])[:, None]
+_TERM_INDEX = 4 * _PERM[:, None, :, None] + _PERM[:, None, None, :]
 
 
 def apply(spec: ChannelSpec, rho) -> np.ndarray:
@@ -120,27 +122,29 @@ def apply(spec: ChannelSpec, rho) -> np.ndarray:
 
 
 def _kraus_terms(rho: np.ndarray) -> np.ndarray:
-    """The 16 unweighted Kraus terms ``s_k rho s_k+`` of each checked input of
-    a ``(..., 4, 4)`` stack, as a fresh ``(..., 16, 4, 4)`` stack.
+    """The 16 unweighted Kraus terms ``s_k rho_j s_k+`` of the ``m`` checked inputs
+    of an ``(..., m, 4, 4)`` stack, pair-major: a fresh ``(..., 16, m, 4, 4)`` stack.
 
-    Term ``k`` is ``rho[..., perm_k(a), perm_k(d)]`` times the exact unit
-    ``ph_k(a) conj(ph_k(d))``; it does not depend on the channel, so a
-    constant input has constant terms.
+    Term ``(k, j)`` is ``rho[..., j, perm_k(a), perm_k(d)]`` times the exact unit
+    ``ph_k(a) conj(ph_k(d))``, one ``take`` on the flat inputs; it does not depend
+    on the channel, so a constant input has constant terms.
     """
-    return rho[..., _PERM[:, :, None], _PERM[:, None, :]] * _TERM_PHASE
+    starts = 16 * np.arange(rho.shape[-3])[:, None, None]  # of each input's 16 flat entries
+    return rho.reshape(rho.shape[:-3] + (-1,)).take(_TERM_INDEX + starts, axis=-1) * _TERM_PHASE
 
 
 def _weigh_terms(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Send the ``m`` inputs behind ``terms[c]`` through channel ``c``, for an
-    ``(n, 16)`` weight stack and an ``(n, m, 16, 4, 4)`` stack of
-    ``_kraus_terms``, which it overwrites.
+    ``(n, 16)`` weight stack and the ``(n, 16, m, 4, 4)`` pair-major
+    ``_kraus_terms``, which it overwrites: ``(n, m, 4, 4)``.
 
-    Each term is scaled by ``sqrt(p_k)`` twice and the 16 are summed in the
-    fixed order ``k = 0..15``, so a member's output has the same bits alone
-    and in any stack.
+    Row ``k`` of the ``(n, 16, 16 m)`` view is scaled by ``sqrt(p_k)`` twice
+    and the 16 rows are added in the fixed order ``k = 0..15``, so a
+    member's output has the same bits alone and in any stack.
     """
-    root = np.sqrt(weights)[:, None, :, None, None]
-    # In place: fresh temporaries of a whole block cost more than the products.
-    terms *= root
-    terms *= root
-    return np.add.reduce(terms, axis=-3)
+    rows = terms.reshape(len(terms), 16, -1)
+    # Complex as numpy would cast it anyway; in place, as fresh temporaries cost more.
+    root = np.sqrt(weights).astype(complex)[:, :, None]
+    rows *= root
+    rows *= root
+    return np.add.reduce(rows, axis=1).reshape(len(terms), -1, 4, 4)

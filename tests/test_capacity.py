@@ -43,6 +43,7 @@ from util import (
     CANDIDATES,
     candidate_optimum_oracle,
     candidate_spectra_oracle,
+    closed_form_digest,
     kraus_sum_oracle,
     mixed_channels,
     random_pure_state,
@@ -556,6 +557,8 @@ def test_candidate_terms_are_a_read_only_constant_that_sweeps_leave_unchanged():
             table.flat[0] = 0
     # The average first, then one input per output label.
     assert (rows.shape, labelled.shape) == ((len(_CANDIDATES), 17), (len(_CANDIDATES), 5, 4, 4))
+    # Pair-major and C-ordered, so a block's take copies whole candidates into _weigh_terms' view.
+    assert terms.shape == (len(_CANDIDATES), 16, 5, 4, 4) and terms.flags.c_contiguous
     for c, (_, labels) in enumerate(_CANDIDATES):
         assert rows[c].tolist() == [0, *(labels + 1).tolist()]
         assert terms[c].tobytes() == _kraus_terms(labelled[c]).tobytes()
@@ -691,6 +694,61 @@ def test_closed_form_keeps_the_bits_of_the_one_stage_kernel():
         held = np.add.accumulate(capacity._UNIFORM_PRIORS * entropies[:, 1:], axis=1)[:, -1]
         for chi, row in zip((entropies[:, 0] - held).tolist(), rows[block]):
             assert row[0].hex() == chi.hex()
+
+
+#: Rounding bounds of the convexity test, in bits: the least second difference of
+#: ``2 - s_min_bits`` and of ``chi_bits`` over a grid, and the most a point of
+#: ``2 - s_min_bits`` may lie above the chord or ``C(1)`` away from 2.
+CONVEX_S_TOL = 4e-15
+CONVEX_CHI_TOL = 4e-12
+
+
+def _convexity_sweeps(rng, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(q, mu grid)`` of ``n`` channels in turn from Dirichlet 1, 0.3, 0.15 and 5
+    weights, one in five with 1 or 2 weights set to exactly zero: a uniform
+    201-point grid over [0, 1] for each, and a uniform 41-point grid across
+    each interior ``crossing_mu``."""
+    sweeps = []
+    for k in range(n):
+        q = rng.dirichlet(np.full(4, (1.0, 0.3, 0.15, 5.0)[k % 4]))
+        if k % 5 == 4:
+            q[rng.choice(4, size=1 + k % 2, replace=False)] = 0.0
+        q = q / q.sum()
+        sweeps.append((q, np.linspace(0.0, 1.0, 201)))
+        mu_t = crossing_mu(lambda mu, q=tuple(q): ChannelSpec(q, mu))
+        step = min(1e-3, (mu_t or 0.0) / 25, (1.0 - (mu_t or 1.0)) / 25)
+        if step > 1e-9:
+            sweeps.append((q, mu_t + step * np.arange(-20, 21)))
+    return sweeps
+
+
+def test_the_closed_form_capacity_is_convex_in_mu_and_under_its_chord():
+    # Each candidate spectrum is affine in mu and Shannon entropy is concave, so
+    # C(mu) = 2 - S_min, 2 minus a least of concave functions, is convex; and
+    # C(1) = 2, since at mu = 1 the Bell state goes to itself, so C lies under
+    # the chord from C(0) to 2.  The paper's kink is a convex kink.
+    sweeps = _convexity_sweeps(np.random.default_rng(71), 160)
+    q = np.concatenate([np.repeat(q[None], len(mus), axis=0) for q, mus in sweeps])
+    rows = iter(_closed_form_rows(q, np.concatenate([mus for _, mus in sweeps])))
+    straddled = 0
+    for _, mus in sweeps:
+        chi, s_min = np.array([next(rows)[:2] for _ in mus]).T
+        capacity_bits = 2.0 - s_min
+        assert np.diff(capacity_bits, 2).min() >= -CONVEX_S_TOL
+        assert np.diff(chi, 2).min() >= -CONVEX_CHI_TOL
+        if mus[0] == 0.0 and mus[-1] == 1.0:
+            assert abs(capacity_bits[-1] - 2.0) <= CONVEX_S_TOL
+            chord = (1.0 - mus) * capacity_bits[0] + mus * 2.0
+            assert (capacity_bits - chord).max() <= CONVEX_S_TOL
+        else:
+            straddled += 1
+    assert straddled >= 20
+
+
+def test_the_closed_form_digest_is_a_deterministic_fingerprint():
+    digest = closed_form_digest(5, 120)
+    assert len(digest) == 64 and digest == closed_form_digest(5, 120)
+    assert digest != closed_form_digest(6, 120)
 
 
 def _band_rows() -> list[list[float]]:
@@ -836,6 +894,10 @@ def test_two_qubit_capacity_builds_every_capacity_result():
     assert "_closed_form" not in _top_level_names(capacity)
     # One winner rule, on arrays, serves points, sweeps and the gap: no per-row rule is left.
     assert not {"_candidate_optimum", "_best_axis"} & _top_level_names(capacity)
+    # One margin: the rule and the gap both read _margins, the one running minimum.
+    assert inspect.getsource(capacity).count("minimum.accumulate") == 1
+    for name in ("_optimum", "candidate_entropy_gap"):
+        assert "_margins(" in inspect.getsource(getattr(capacity, name))
 
 
 def test_capacity_owns_the_candidates_and_the_regime_rule():

@@ -168,11 +168,20 @@ def test_apply_stack_is_its_members():
 
 
 def test_two_stage_kernel_has_the_bits_of_the_one_stage_sum():
+    # Each caller's stack, in turn: a block's inputs, the one input of `apply`
+    # and the 16 matrix units that `search._superoperator` weighs.
     rng = np.random.default_rng(47)
+    units = np.eye(16, dtype=complex).reshape(1, 16, 4, 4)
     for draw in range(3000):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        n, m = int(rng.integers(1, 5)), (int(rng.integers(1, 6)), 1, 16)[draw % 3]
         stack = rng.normal(size=(n, m, 4, 4)) + 1j * rng.normal(size=(n, m, 4, 4))
-        if draw % 2:
+        if draw % 3 == 2:
+            stack = np.repeat(units, n, axis=0)
+            # On every other draw, signed zeros among the units' zero entries and zero weights.
+            stack.imag[(rng.random(stack.shape) < 0.5) & (draw % 2 == 1)] = -0.0
+            weights = rng.dirichlet(np.full(16, (1.0, 0.3)[draw % 2]), size=n)
+            weights[(rng.random(weights.shape) < 0.5) & (draw % 2 == 1)] = 0.0
+        elif draw % 2:
             # Exact zeros of both signs, in the inputs and the weights.
             stack[rng.random(stack.shape) < 0.5] = 0.0
             stack.real[rng.random(stack.shape) < 0.25] = -0.0
@@ -183,7 +192,7 @@ def test_two_stage_kernel_has_the_bits_of_the_one_stage_sum():
             weights = rng.dirichlet(np.ones(16), size=n)
         expected = kraus_sum_oracle(weights, stack)
         terms = _kraus_terms(stack)
-        assert terms.shape == (n, m, 16, 4, 4)
+        assert terms.shape == (n, 16, m, 4, 4) and terms.flags.c_contiguous  # pair-major
         assert _weigh_terms(weights, terms).tobytes() == expected.tobytes()
 
 

@@ -1,11 +1,25 @@
 """Shared random generators (all explicitly seeded), candidate inputs, the
 per-row Shannon oracle, the offset-bincount candidate-spectra oracle, the
-per-row candidate-optimum oracle, the one-stage Kraus-sum oracle and the
-einsum superoperator oracle for the test suite."""
+per-row candidate-optimum oracle, the one-stage Kraus-sum oracle, the
+einsum superoperator oracle and the closed-form bit digest for the test suite.
+
+``PYTHONPATH=src python tests/util.py [seed] [count]`` prints the digest
+(seed 0 and 10 000 channels by default).
+"""
+
+import hashlib
+import sys
 
 import numpy as np
 
-from paulimem.capacity import BOUNDARY_TOL, Regime
+from paulimem.capacity import (
+    BOUNDARY_TOL,
+    Regime,
+    _closed_form_rows,
+    candidate_entropy_gap,
+    crossing_mu,
+    two_qubit_capacity,
+)
 from paulimem.channel import _PERM, _PHASE, ChannelSpec, kraus_operators, preset_symmetric
 from paulimem.checks import random_pure_state, random_spec  # noqa: F401
 
@@ -119,3 +133,54 @@ def superoperator_oracle(spec: ChannelSpec) -> np.ndarray:
     """
     stack = kraus_operators(spec)
     return np.einsum("kab,kdc->bcad", stack, stack.conj()).reshape(16, 16)
+
+
+def digest_channels(rng, count: int) -> list[ChannelSpec]:
+    """``count`` channels in turn from eight sources: Dirichlet 1, 0.3, 0.15 and 5
+    weights with ``mu`` uniform, 0 or 1; Dirichlet(1) weights with 1 to 3 set to
+    exactly zero, then the same channel with those zeros written as -0.0; and
+    symmetric-family points on ``mu = |4p - 1|`` and 1e-15 to 1e-6 beside it."""
+    specs = []
+    for k in range(count):
+        kind, mu = k % 8, (float(rng.uniform()), 0.0, 1.0)[k // 8 % 3]
+        if kind < 4:
+            q = rng.dirichlet(np.full(4, (1.0, 0.3, 0.15, 5.0)[kind]))
+        elif kind == 4:
+            q = rng.dirichlet(np.ones(4))
+            q[rng.choice(4, size=1 + k % 3, replace=False)] = 0.0
+        elif kind == 5:
+            q = np.array([-0.0 if w == 0.0 else w for w in specs[-1].q])
+            mu = specs[-1].mu
+        else:
+            p = float(rng.uniform(0.0, 0.5))
+            beside = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-15, -6) if kind == 7 else 0.0
+            specs.append(preset_symmetric(p, min(max(abs(4.0 * p - 1.0) + beside, 0.0), 1.0)))
+            continue
+        specs.append(ChannelSpec(tuple(q / q.sum()) if kind < 5 else tuple(q), mu))
+    return specs
+
+
+def closed_form_digest(seed: int, count: int) -> str:
+    """SHA-256 of the closed form's every output on ``digest_channels(seed, count)``:
+    the ``_closed_form_rows`` rows, each ``two_qubit_capacity`` result (chi, s_min,
+    gap, regime and state bytes), each ``candidate_entropy_gap`` and the
+    ``crossing_mu`` of every 50th channel's weights.  Floats enter by ``repr``,
+    which round-trips every bit, signed zeros included; equal digests mean equal bits."""
+    specs = digest_channels(np.random.default_rng(seed), count)
+    digest = hashlib.sha256()
+    q, mu = np.array([s.q for s in specs]), np.array([s.mu for s in specs])
+    for row in _closed_form_rows(q, mu):
+        digest.update(repr(row).encode())
+    for spec in specs:
+        r = two_qubit_capacity(spec)
+        digest.update(repr((r.chi_bits, r.s_min_bits, r.saturation_gap, r.regime)).encode())
+        digest.update(r.state.tobytes())
+        digest.update(repr(candidate_entropy_gap(spec)).encode())
+    for spec in specs[::50]:
+        digest.update(repr(crossing_mu(lambda m, q=spec.q: ChannelSpec(q, m))).encode())
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    args = [int(arg) for arg in sys.argv[1:3]]
+    print(closed_form_digest(*args, *(0, 10_000)[len(args):]))
