@@ -214,30 +214,32 @@ def _run_capacity(args, parser) -> int:
     return _report_point(pairs, result.state, result.converged, args, parser)
 
 
+def _grid(option: str, lo: float, hi: float, steps: int, parser) -> np.ndarray:
+    """The ``steps`` points of the sweep range [lo, hi] of ``option``-min/max, checked first."""
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            parser.error(f"{option}-{end} must be finite, got {value}")
+    if not lo <= hi:
+        parser.error(f"the sweep range needs min <= max, got [{lo}, {hi}]")
+    return np.linspace(lo, hi, steps)
+
+
 def _run_sweep(args, parser) -> int:
     if not 2 <= args.steps <= MAX_STEPS:
         parser.error(f"--steps must lie in [2, {MAX_STEPS}], got {args.steps}")
     if args.threads < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 
-    if args.sweep_param:
+    if args.command == "sweep-p":
         family, build, weights, upper = _FAMILIES[args.family]
         lo = args.param_min if args.param_min is not None else 0.0
         hi = args.param_max if args.param_max is not None else upper
+        params = _grid("--param", lo, hi, args.steps, parser)
+        mus, q = np.broadcast_to(args.mu, params.shape), np.stack(weights(params), -1)
     else:
         family, param, build, q = _resolve_family(args, parser)
-        lo, hi = args.mu_min, args.mu_max
-    option = "--param" if args.sweep_param else "--mu"
-    for end, value in (("min", lo), ("max", hi)):
-        if not math.isfinite(value):
-            parser.error(f"{option}-{end} must be finite, got {value}")
-    if not lo <= hi:
-        parser.error(f"the sweep range needs min <= max, got [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, args.steps)
-    if args.sweep_param:
-        params, mus, q = grid, np.broadcast_to(args.mu, grid.shape), np.stack(weights(grid), -1)
-    else:
-        params, mus, q = np.broadcast_to(param, grid.shape), grid, np.array([q])
+        mus = _grid("--mu", args.mu_min, args.mu_max, args.steps, parser)
+        params, q = np.broadcast_to(param, mus.shape), np.array([q])
     with _usage_errors(parser):
         _search_config(args, args.seed)  # the base seed, before --numeric points derive theirs
         # One check of the whole grid; its first bad point raises its builder's error.
@@ -343,37 +345,59 @@ def _run_verify(args, parser) -> int:
 # parser
 
 
-def _add_channel_options(sp):
-    sp.add_argument(
-        "--family",
+#: Each option's argparse settings, declared once for every command that takes it.
+_OPTIONS = {
+    "--family": dict(
         choices=["symmetric", "depolarizing", "custom"],
         help="channel family (symmetric/depolarizing need --param, custom needs --q)",
-    )
-    sp.add_argument("--param", type=float, help="family weight: p (symmetric) or x (depolarizing)")
-    sp.add_argument("--q", help="custom weights q0,q1,q2,q3")
-
-
-def _add_mu_option(sp):
-    sp.add_argument("--mu", type=float, required=True, help="memory factor in [0, 1]")
-
-
-def _add_common_options(sp):
-    sp.add_argument("--seed", type=int, default=42, help="seed for every stochastic component")
-    sp.add_argument("--out", help="output file (default standard output)")
-    sp.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
-    sp.add_argument("--restarts", type=int, default=64, help="search restarts")
-    sp.add_argument("--tolerance", type=float, default=1e-9, help="search entropy tolerance in bits")
-
-
-def _add_sweep_options(sp):
-    sp.add_argument(
-        "--threads",
+    ),
+    "--param": dict(type=float, help="family weight: p (symmetric) or x (depolarizing)"),
+    "--q": dict(help="custom weights q0,q1,q2,q3"),
+    "--mu": dict(type=float, required=True, help="memory factor in [0, 1]"),
+    "--p": dict(type=float, required=True, help="symmetric weight in [0, 1/2]"),
+    "--seed": dict(type=int, default=42, help="seed for every stochastic component"),
+    "--out": dict(help="output file (default standard output)"),
+    "--json": dict(action="store_true", help="emit JSON instead of text/CSV"),
+    "--restarts": dict(type=int, default=64, help="search restarts"),
+    "--tolerance": dict(type=float, default=1e-9, help="search entropy tolerance in bits"),
+    "--threads": dict(
         type=int,
         default=1,
         help="accepted for compatibility; grid points run in order in one thread",
-    )
-    sp.add_argument("--per-qubit", action="store_true", help="report capacity per channel use")
-    sp.add_argument("--numeric", action="store_true", help="run the search, not the closed form")
+    ),
+    "--per-qubit": dict(action="store_true", help="report capacity per channel use"),
+    "--numeric": dict(action="store_true", help="run the search, not the closed form"),
+    "--mu-min": dict(type=float, default=0.0, help="least memory factor (default 0)"),
+    "--mu-max": dict(type=float, default=1.0, help="largest memory factor (default 1)"),
+    "--param-min": dict(type=float, help="least family weight (default 0)"),
+    "--param-max": dict(type=float, help="largest family weight (default 1/2 or 1, by family)"),
+    "--steps": dict(type=int, default=101, help="grid points incl. endpoints (default %(default)s)"),
+    "--grid-density": dict(
+        choices=sorted(checks.DENSITIES), default="default", help="sample sizes of the checks"
+    ),
+}
+_CHANNEL = ("--family", "--param", "--q")
+_SEARCH = ("--seed", "--out", "--json", "--restarts", "--tolerance")
+_SWEEP = ("--threads", "--per-qubit", "--numeric")
+
+#: Each command's help, handler and options, in usage order.
+_COMMANDS = {
+    "capacity": ("capacity at a single channel point", _run_capacity,
+                 (*_CHANNEL, "--mu", *_SEARCH, "--per-qubit", "--numeric")),
+    "sweep-mu": ("capacity over a memory grid", _run_sweep,
+                 (*_CHANNEL, *_SEARCH, *_SWEEP, "--mu-min", "--mu-max", "--steps")),
+    "sweep-p": ("capacity over a family-weight grid", _run_sweep,
+                ("--family", "--mu", *_SEARCH, *_SWEEP, "--param-min", "--param-max", "--steps")),
+    "threshold": ("memory threshold of the symmetric family", _run_threshold,
+                  ("--p", "--out", "--json")),
+    "moe": ("global minimal-output-entropy search", _run_moe, (*_CHANNEL, "--mu", *_SEARCH)),
+    "verify": ("cross-module invariant suite", _run_verify, ("--grid-density", "--seed", "--out")),
+}
+#: The settings by which a command's option differs from the option's row.
+_OVERRIDES = {
+    ("sweep-p", "--family"): dict(choices=list(_FAMILIES), required=True, help="channel family"),
+    ("sweep-p", "--steps"): dict(default=51),
+}
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -405,56 +429,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-qubit capacity of Pauli channels with correlated noise",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    sp = sub.add_parser("capacity", help="capacity at a single channel point")
-    _add_channel_options(sp)
-    _add_mu_option(sp)
-    _add_common_options(sp)
-    sp.add_argument("--per-qubit", action="store_true", help="report capacity per channel use")
-    sp.add_argument("--numeric", action="store_true", help="run the search, not the closed form")
-    sp.set_defaults(handler=_run_capacity, parser=sp)
-
-    sp = sub.add_parser("sweep-mu", help="capacity over a memory grid")
-    _add_channel_options(sp)
-    _add_common_options(sp)
-    _add_sweep_options(sp)
-    sp.add_argument("--mu-min", type=float, default=0.0)
-    sp.add_argument("--mu-max", type=float, default=1.0)
-    sp.add_argument("--steps", type=int, default=101, help="grid points incl. endpoints")
-    sp.set_defaults(handler=_run_sweep, sweep_param=False, parser=sp)
-
-    sp = sub.add_parser("sweep-p", help="capacity over a family-weight grid")
-    sp.add_argument("--family", choices=list(_FAMILIES), required=True, help="channel family")
-    _add_mu_option(sp)
-    _add_common_options(sp)
-    _add_sweep_options(sp)
-    sp.add_argument("--param-min", type=float)
-    sp.add_argument("--param-max", type=float)
-    sp.add_argument("--steps", type=int, default=51)
-    sp.set_defaults(handler=_run_sweep, sweep_param=True, parser=sp)
-
-    sp = sub.add_parser("threshold", help="memory threshold of the symmetric family")
-    sp.add_argument("--p", type=float, required=True, help="symmetric weight in [0, 1/2]")
-    sp.add_argument("--out")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=_run_threshold, parser=sp)
-
-    sp = sub.add_parser("moe", help="global minimal-output-entropy search")
-    _add_channel_options(sp)
-    _add_mu_option(sp)
-    _add_common_options(sp)
-    sp.set_defaults(handler=_run_moe, parser=sp)
-
-    sp = sub.add_parser("verify", help="cross-module invariant suite")
-    sp.add_argument(
-        "--grid-density",
-        choices=sorted(checks.DENSITIES),
-        default="default",
-    )
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=_run_verify, parser=sp)
-
+    for command, (text, handler, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for option in options:
+            sp.add_argument(option, **{**_OPTIONS[option], **_OVERRIDES.get((command, option), {})})
+        sp.set_defaults(handler=handler, parser=sp)
     return parser
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import ast
 import io
 import json
 import math
@@ -373,6 +374,18 @@ def test_closed_form_stdout_is_pinned(command):
         json.loads(GOLDEN_STDOUT[command], parse_constant=_reject_constant)
 
 
+def test_one_table_declares_every_option_of_every_command():
+    # Each option is declared once, in _OPTIONS, and one loop adds it to each command.
+    source = Path(cli.__file__).read_text()
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    names = [getattr(func, "attr", getattr(func, "id", None)) for func in calls]
+    assert (names.count("add_argument"), names.count("set_defaults")) == (1, 1)
+    assert "sweep_param" not in source
+    assert {option for _, _, options in cli._COMMANDS.values() for option in options} == set(
+        cli._OPTIONS
+    )
+
+
 def test_one_parser_serves_every_call_in_a_process():
     assert cli._build_parser() is cli._build_parser()
     sweep = "sweep-mu --family symmetric --param 0.35 --steps 21"
@@ -656,19 +669,77 @@ def test_a_lone_minus_or_an_option_is_not_read_as_a_value(value):
     assert err.endswith(f"error: argument --mu: {expected}\n")
 
 
-@pytest.mark.parametrize("command", ["capacity", "moe", "sweep-p"])
+#: Each command's long options, in the order its usage lists them.
+HELP_OPTIONS = {
+    "capacity": "--family --param --q --mu --seed --out --json --restarts --tolerance"
+    " --per-qubit --numeric",
+    "sweep-mu": "--family --param --q --seed --out --json --restarts --tolerance --threads"
+    " --per-qubit --numeric --mu-min --mu-max --steps",
+    "sweep-p": "--family --mu --seed --out --json --restarts --tolerance --threads"
+    " --per-qubit --numeric --param-min --param-max --steps",
+    "threshold": "--p --out --json",
+    "moe": "--family --param --q --mu --seed --out --json --restarts --tolerance",
+    "verify": "--grid-density --seed --out",
+}
+#: The options a command requires; its usage shows them without brackets.
+REQUIRED_OPTIONS = {
+    "capacity": {"--mu"}, "moe": {"--mu"}, "sweep-p": {"--family", "--mu"}, "threshold": {"--p"}
+}
+#: What an option that an argv leaves out parses to; every other one parses to None.
+PARSED_DEFAULTS = {
+    "seed": 42, "restarts": 64, "tolerance": 1e-9, "threads": 1, "mu_min": 0.0, "mu_max": 1.0,
+    "grid_density": "default", "json": False, "per_qubit": False, "numeric": False,
+}
+STEPS_DEFAULTS = {"sweep-mu": 101, "sweep-p": 51}
+
+
+def _option_descriptions(help_text: str) -> dict[str, str]:
+    """The description ('' if none) of each option of a ``--help`` output, by long name."""
+    lines = help_text.split("\noptions:\n")[1].splitlines()
+    found = {}
+    for k, line in enumerate(lines):
+        if line.startswith("  -"):
+            option, _, text = line.strip().partition("  ")
+            follow = lines[k + 1] if k + 1 < len(lines) else ""
+            if not text and follow.startswith("   ") and not follow.lstrip().startswith("-"):
+                text = follow  # argparse puts it on the next line after a long option
+            found[re.search(r"--[\w-]+", option)[0]] = text.strip()
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
 def test_help_lists_only_the_options_a_command_accepts(command):
     code, out, _ = run_captured([command, "--help"])
     assert code == 0
     usage = " ".join(out.split("\n\n")[0].split())
-    # A required option is shown without brackets.
-    assert " --mu MU " in f"{usage} " and "[--mu MU]" not in usage
+    options = re.findall(r"--[\w-]+", usage)
+    assert options == HELP_OPTIONS[command].split()
+    optional = re.findall(r"\[(--[\w-]+)", usage)
+    assert set(options) - set(optional) == REQUIRED_OPTIONS.get(command, set())
     if command == "sweep-p":
         # sweep-p takes a family and a weight range, never one weight or custom weights.
         assert " --family {symmetric,depolarizing} " in usage
-        options = set(re.findall(r"--[\w-]+", out))
-        assert not {"--q", "--param"} & options
+        assert not {"--q", "--param"} & set(re.findall(r"--[\w-]+", out))
         assert "custom" not in out
+    # Each option the valid base leaves out (here also --steps) parses to its default.
+    base = " ".join(FUZZ_BASES[command]).replace("--steps 3", "").split()
+    args = cli._build_parser().parse_args([command, *base])
+    for option in set(options) - set(base):
+        dest = option[2:].replace("-", "_")
+        expected = STEPS_DEFAULTS[command] if dest == "steps" else PARSED_DEFAULTS.get(dest)
+        value = getattr(args, dest)
+        assert (value, type(value)) == (expected, type(expected)), (command, option)
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_every_option_of_a_command_prints_a_description(command):
+    code, out, _ = run_captured([command, "--help"])
+    assert code == 0
+    descriptions = _option_descriptions(out)
+    assert set(descriptions) == {"--help", *HELP_OPTIONS[command].split()}
+    assert all(descriptions.values()), descriptions
+    if command in STEPS_DEFAULTS:  # a default that differs by command is stated where it applies
+        assert f"(default {STEPS_DEFAULTS[command]})" in descriptions["--steps"]
 
 
 SWEEP_MU = ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "3"]
