@@ -18,8 +18,8 @@ import numpy as np
 
 from .pauli import _PAIR_STACK
 from .spectral import (
-    WEIGHT_SUM_TOL,
     density_spectra,
+    require_depolarizing_weight,
     require_memory_factor,
     require_symmetric_weight,
     require_weights,
@@ -58,26 +58,13 @@ def _symmetric_q(p):
 
 def preset_depolarizing(x: float, mu: float) -> ChannelSpec:
     """Channel with weights ``q = (x, (1-x)/3, (1-x)/3, (1-x)/3)``."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"depolarizing weight x must lie in [0, 1], got {x}")
-    return ChannelSpec(_depolarizing_q(x), mu)
+    return ChannelSpec(_depolarizing_q(require_depolarizing_weight(x)), mu)
 
 
 def _depolarizing_q(x):
     """The depolarizing family's four weights of a float ``x`` or of an array of them."""
     r = (1.0 - x) / 3.0
     return x, r, r, r
-
-
-def _accepted(q: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Which channels ``(q[k], mu[k])`` ChannelSpec accepts, for ``(n, 4)`` weights
-    and ``(n,)`` memory factors that broadcast: its checks on whole arrays, with
-    the weights added in order, as ``require_weights`` adds them."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a rejected row may overflow
-        total = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
-    ok = (np.isfinite(q) & (q >= 0.0)).all(axis=1) & (abs(total - 1.0) <= WEIGHT_SUM_TOL)
-    return ok & (mu >= 0.0) & (mu <= 1.0)
 
 
 _EYE = np.eye(4)

@@ -22,6 +22,7 @@ from . import channel as ch
 from . import checks
 from .capacity import _BLOCK, _closed_form_rows, crossing_mu, two_qubit_capacity
 from .search import SearchConfig, minimize_output_entropy, schmidt_coefficients
+from .spectral import require_depolarizing_weight, require_memory_factor, require_symmetric_weight
 from .symmetric import capacity_symmetric, threshold
 
 #: Custom weights are renormalized only below this deviation from 1.
@@ -51,10 +52,12 @@ def _parse_q(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     return tuple(x / total for x in q)
 
 
-#: --family choice -> (label, spec builder, weights of param(s), default sweep-p upper bound).
+#: --family choice -> (label, spec builder, weights of param(s), param rule, sweep-p default max).
 _FAMILIES = {
-    "symmetric": ("Symmetric", ch.preset_symmetric, ch._symmetric_q, 0.5),
-    "depolarizing": ("Depolarizing", ch.preset_depolarizing, ch._depolarizing_q, 1.0),
+    "symmetric": ("Symmetric", ch.preset_symmetric, ch._symmetric_q, require_symmetric_weight, 0.5),
+    "depolarizing": (
+        "Depolarizing", ch.preset_depolarizing, ch._depolarizing_q, require_depolarizing_weight, 1.0
+    ),
 }
 
 
@@ -83,7 +86,7 @@ def _resolve_family(args, parser):
         )
     if args.param is None:
         parser.error(f"--param is required with --family {args.family}")
-    family, build, weights, _ = _FAMILIES[args.family]
+    family, build, weights, *_ = _FAMILIES[args.family]
     return family, args.param, build, weights(args.param)
 
 
@@ -231,20 +234,23 @@ def _run_sweep(args, parser) -> int:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 
     if args.command == "sweep-p":
-        family, build, weights, upper = _FAMILIES[args.family]
+        family, build, weights, rule, upper = _FAMILIES[args.family]
         lo = args.param_min if args.param_min is not None else 0.0
         hi = args.param_max if args.param_max is not None else upper
-        params = _grid("--param", lo, hi, args.steps, parser)
+        axis = params = _grid("--param", lo, hi, args.steps, parser)
         mus, q = np.broadcast_to(args.mu, params.shape), np.stack(weights(params), -1)
     else:
         family, param, build, q = _resolve_family(args, parser)
-        mus = _grid("--mu", args.mu_min, args.mu_max, args.steps, parser)
+        axis = mus = _grid("--mu", args.mu_min, args.mu_max, args.steps, parser)
         params, q = np.broadcast_to(param, mus.shape), np.array([q])
+        rule = require_memory_factor
     with _usage_errors(parser):
         _search_config(args, args.seed)  # the base seed, before --numeric points derive theirs
-        # One check of the whole grid; its first bad point raises its builder's error.
-        for k in np.flatnonzero(~ch._accepted(q, mus))[:1]:
-            build(float(params[k]), float(mus[k]))
+        # The first point's builder checks every constant input, in its own order;
+        # the rule of the one varying axis then checks each of its values.
+        build(float(params[0]), float(mus[0]))
+        for value in axis.tolist():
+            rule(value)
     converged = True
 
     def search(k):

@@ -8,7 +8,7 @@ candidates, labels or certificate tables, and serves as its certificate:
 ``force_numeric`` and ``--numeric`` run it in its place, and ``verify``
 checks on random channels that it never ends below the four-candidate
 minimum.  It shares the channel kernel, the two stages ``apply`` takes,
-and, through ``output_entropy``, the Shannon kernel.
+and the Shannon kernel, ``spectral._row_entropies``, which scores its objective.
 
 The descent is Nelder-Mead with scipy's non-adaptive rule, run on all
 restart simplices in lock-step: each step scores the trial points of
@@ -30,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .channel import ChannelSpec, _joint_weights, _kraus_terms, _weigh_terms, apply
-from .spectral import _eigvalsh, require_unit_norm, von_neumann_entropy_bits
+from .spectral import _eigvalsh, _row_entropies, require_unit_norm, von_neumann_entropy_bits
 
 #: Most restarts one search takes; their simplices descend in one batch.
 MAX_RESTARTS = 10_000
@@ -160,10 +160,7 @@ def _entropy_objective(spec: ChannelSpec):
     def objective(angles: np.ndarray) -> np.ndarray:
         v = _pure_states(angles)
         rho = (v[:, :, None] * v[:, None, :].conj()).reshape(-1, 1, 16)
-        spectra = _eigvalsh((rho @ sup).reshape(-1, 4, 4))
-        # 0 log 0 = 0: a zero or dust eigenvalue meets log2(1) = 0.
-        logs = np.log2(np.where(spectra > 1e-300, spectra, 1.0))
-        return -(spectra * logs).sum(axis=1)
+        return _row_entropies(_eigvalsh((rho @ sup).reshape(-1, 4, 4)))
 
     return objective
 

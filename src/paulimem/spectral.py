@@ -1,7 +1,8 @@
 """Spectra of two-qubit states, alone or stacked, entropy functionals in
 bits, and the one check of each input: a two-qubit state, a pure state,
 a set of weights (channel weights or ensemble priors), a memory factor and
-a symmetric-family weight.
+a symmetric- or depolarizing-family weight.  ``_row_entropies`` is src's one
+Shannon kernel: the entropy functionals and the search's objective score with it.
 """
 
 from __future__ import annotations
@@ -123,8 +124,16 @@ def require_symmetric_weight(p) -> float:
     return p
 
 
+def require_depolarizing_weight(x) -> float:
+    """The depolarizing-family weight ``x`` as a float, checked to lie in [0, 1]."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"depolarizing weight x must lie in [0, 1], got {x}")
+    return x
+
+
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of a checked ``(n, k)`` stack.
+    """Shannon entropy in bits of each row of an ``(n, k)`` stack, dust clamped into [0, 1].
 
     Clamp, ``log2`` and row sum are whole-array operations.  A zero entry
     adds an exact +0.0 and numpy sums a row of fewer than 8 entries in

@@ -1,12 +1,13 @@
 """Memory-channel construction, application, and covariance structure."""
 
+import re
+
 import numpy as np
 import pytest
 
 from paulimem.capacity import _CANDIDATES, candidate_entropies
 from paulimem.channel import (
     ChannelSpec,
-    _accepted,
     _depolarizing_q,
     _joint_weights,
     _kraus_terms,
@@ -19,7 +20,13 @@ from paulimem.channel import (
 )
 from paulimem.checks import covariance_residual, ensemble_average_output
 from paulimem.pauli import pauli_matrix, pauli_pair
-from paulimem.spectral import density_spectra
+from paulimem.spectral import (
+    WEIGHT_SUM_TOL,
+    density_spectra,
+    require_depolarizing_weight,
+    require_memory_factor,
+    require_symmetric_weight,
+)
 from util import (
     kraus_sum_oracle,
     mixed_channels,
@@ -368,30 +375,51 @@ EDGES += [float(np.nextafter(x, d)) for x in (0.0, 0.5, 1.0) for d in (-1.0, 2.0
 
 
 @pytest.mark.parametrize(
-    ("build", "weights"),
-    [(preset_symmetric, _symmetric_q), (preset_depolarizing, _depolarizing_q)],
+    ("rule", "weights"),
+    [(require_symmetric_weight, _symmetric_q), (require_depolarizing_weight, _depolarizing_q)],
 )
-def test_accepted_grid_rows_are_the_points_a_family_builds(build, weights):
-    # A sweep checks its grid with _accepted and calls the builder only on the
-    # first rejected row, so the two must agree on every point.
-    params = np.array(EDGES)
-    q = np.stack(weights(params), axis=-1)
-    for mu in EDGES:
-        accepted = _accepted(q, np.full(len(EDGES), mu)).tolist()
-        assert accepted == [_builds(build, p, mu) for p in EDGES], mu
+def test_each_weight_its_family_rule_accepts_builds_a_channel_at_each_accepted_mu(rule, weights):
+    # A sweep builds its first point and then checks only its varying axis with
+    # that axis's rule, so every weight and memory factor the two rules accept
+    # must give a channel that ChannelSpec accepts, from one float or from a grid.
+    params = [p for p in EDGES if _builds(rule, p)]
+    mus = [mu for mu in EDGES if _builds(require_memory_factor, mu)]
+    assert 0 < len(params) < len(EDGES) and 0 < len(mus) < len(EDGES)
+    grid = np.stack(weights(np.array(params)), axis=-1).tolist()
+    for p, row in zip(params, grid):
+        for mu in mus:
+            ChannelSpec(weights(p), mu)
+            ChannelSpec(tuple(row), mu)
 
 
-def test_accepted_rows_are_the_specs_channelspec_builds():
+def test_channelspec_accepts_an_in_order_sum_within_weight_sum_tol():
     rng = np.random.default_rng(53)
-    q = rng.dirichlet(np.ones(4), 400)
-    # Sums within and just beyond WEIGHT_SUM_TOL, a negative and a non-finite weight.
-    q[:300, 0] += rng.choice([-2e-12, -1e-12, 0.0, 1e-12, 2e-12], 300)
-    q[300:310, 1] = -1e-300
-    q[310:320, 2] = rng.choice([np.nan, np.inf, -np.inf, 1e308], 10)
-    mu = rng.choice([-1e-300, 0.0, 0.4, 1.0, 1.0 + 2e-16, np.nan], 400)
-    expected = [_builds(ChannelSpec, tuple(row), m) for row, m in zip(q.tolist(), mu.tolist())]
-    assert _accepted(q, mu).tolist() == expected
-    assert 0 < sum(expected) < len(expected)
+    offsets = rng.choice([-2e-12, -1e-12, 0.0, 1e-12, 2e-12], 300)
+    q = rng.dirichlet(np.ones(4), 300)
+    q[:, 0] += offsets
+    accepted = 0
+    for row, offset in zip(q.tolist(), offsets.tolist()):
+        total = ((row[0] + row[1]) + row[2]) + row[3]
+        if abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            assert abs(offset) < 2e-12
+            assert ChannelSpec(tuple(row), 0.4).q == tuple(row)
+            accepted += 1
+        else:
+            assert offset != 0.0
+            message = f"q must sum to 1, got sum {total!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ChannelSpec(tuple(row), 0.4)
+    assert 0 < accepted < len(q)
+    bad = [(-1e-300, "q must be nonnegative, got min -1e-300")]
+    bad += [(w, f"q must be finite, got {w!r}") for w in (np.nan, np.inf, -np.inf)]
+    for weight, message in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChannelSpec((0.5, weight, 0.25, 0.25), 0.4)
+    for mu in (0.0, 1.0):
+        assert ChannelSpec((0.5, 0.0, 0.25, 0.25), mu).mu == mu
+    for mu in (-1e-300, 1.0 + 2e-16, np.nan):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'mu must lie in [0, 1], got {mu}')}$"):
+            ChannelSpec((0.5, 0.0, 0.25, 0.25), mu)
 
 
 def test_preset_symmetric_values():

@@ -1231,6 +1231,12 @@ def test_sweep_rows_have_the_bits_of_points_computed_alone():
         ("sweep-p --family depolarizing --mu 1.5 --steps 3", "mu must lie in [0, 1], got 1.5"),
         ("sweep-p --family symmetric --mu 1.5 --param-min -0.1 --steps 3",
          "symmetric-family weight p must lie in [0, 1/2], got -0.1"),
+        # The first point fails on the constant axis, a later one on the varying axis.
+        ("sweep-p --family symmetric --mu 1.5 --param-max 0.7 --steps 3",
+         "mu must lie in [0, 1], got 1.5"),
+        ("sweep-p --family depolarizing --mu nan --steps 3", "mu must lie in [0, 1], got nan"),
+        ("sweep-mu --family depolarizing --param 0.5 --mu-min 0.2 --mu-max 1.5 --steps 4",
+         "mu must lie in [0, 1], got 1.0666666666666667"),
     ],
 )
 def test_a_sweep_names_its_first_bad_grid_point(argv, message):

@@ -245,8 +245,8 @@ def test_batched_states_match_parametrize_bitwise():
 
 
 def test_objective_matches_apply_and_ignores_its_batch():
-    # The objective folds the channel into one 16x16 matrix and takes its
-    # own entropies; apply and von_neumann_entropy_bits take neither.
+    # The objective folds the channel into one 16x16 matrix, which apply does
+    # not take; both score their spectra with the one Shannon kernel.
     angles = np.random.default_rng(64).uniform(-4, 8, size=(40, 6))
     for spec in CANDIDATE_CHANNELS.values():
         objective = _entropy_objective(spec)

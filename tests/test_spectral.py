@@ -385,6 +385,12 @@ def test_spectral_holds_the_one_call_of_the_eigenvalue_gufunc():
         assert mentions == (path.stem == "spectral"), path.stem
 
 
+def test_spectral_holds_the_one_shannon_kernel():
+    # Every entropy in bits, the search objective's too, is a row of _row_entropies.
+    assert _calls_by_module("log2") == {"spectral": 1}
+    assert set(_calls_by_module("_row_entropies")) == {"spectral", "search"}
+
+
 def _same_bits_as_numpy(stack: np.ndarray) -> None:
     assert spectral._eigvalsh(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
 
