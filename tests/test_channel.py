@@ -374,17 +374,25 @@ EDGES = [0.0, -0.0, 0.3, 0.5, 1.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.in
 EDGES += [float(np.nextafter(x, d)) for x in (0.0, 0.5, 1.0) for d in (-1.0, 2.0)]
 
 
+#: Each family builder -> the rule a sweep-p checks each of its --param values with.
+RULES = {preset_symmetric: require_symmetric_weight, preset_depolarizing: require_depolarizing_weight}
+
+
 @pytest.mark.parametrize(
-    ("rule", "weights"),
-    [(require_symmetric_weight, _symmetric_q), (require_depolarizing_weight, _depolarizing_q)],
+    ("build", "weights"),
+    [(preset_symmetric, _symmetric_q), (preset_depolarizing, _depolarizing_q)],
 )
-def test_each_weight_its_family_rule_accepts_builds_a_channel_at_each_accepted_mu(rule, weights):
+def test_accepted_grid_rows_are_the_points_a_family_builds(build, weights):
     # A sweep builds its first point and then checks only its varying axis with
-    # that axis's rule, so every weight and memory factor the two rules accept
-    # must give a channel that ChannelSpec accepts, from one float or from a grid.
-    params = [p for p in EDGES if _builds(rule, p)]
+    # that axis's rule, so a weight and memory factor pass the two rules exactly
+    # when the family builds the point, and every such point gives a channel that
+    # ChannelSpec accepts, from one float or from a grid.
+    params = [p for p in EDGES if _builds(RULES[build], p)]
     mus = [mu for mu in EDGES if _builds(require_memory_factor, mu)]
     assert 0 < len(params) < len(EDGES) and 0 < len(mus) < len(EDGES)
+    for p in EDGES:
+        for mu in EDGES:
+            assert _builds(build, p, mu) == (p in params and mu in mus), (p, mu)
     grid = np.stack(weights(np.array(params)), axis=-1).tolist()
     for p, row in zip(params, grid):
         for mu in mus:
