@@ -29,7 +29,7 @@ from .symmetric import capacity_symmetric, threshold
 Q_RENORM_TOL = 1e-9
 
 #: Most grid points one sweep takes: a closed-form sweep streams its rows in
-#: bounded memory, so the cap bounds its time: about a minute at the cap.
+#: bounded memory, so the cap bounds its time: about 12 s on a 2-core host.
 MAX_STEPS = 1_000_000
 
 
@@ -98,15 +98,12 @@ def _search_config(args, seed: int) -> SearchConfig:
     )
 
 
-def _capacity_pairs(chi, s_min, regime, args) -> list[tuple[str, object]]:
-    """The s_min, capacity, regime and method pairs of one capacity answer."""
-    key = "capacity_bits_per_qubit" if args.per_qubit else "capacity_bits"
-    return [
-        ("s_min_bits", s_min),
-        (key, chi / 2.0 if args.per_qubit else chi),
-        ("regime", regime.value),
-        ("method", "Numeric" if args.numeric else "Analytic"),
-    ]
+def _capacity_columns(args) -> tuple[tuple[str, ...], float, str]:
+    """The keys of a capacity answer's s_min, capacity, regime and method, the
+    divisor of chi in its capacity (chi / 1.0 is chi, bit for bit) and its method."""
+    capacity = "capacity_bits_per_qubit" if args.per_qubit else "capacity_bits"
+    keys = ("s_min_bits", capacity, "regime", "method")
+    return keys, 2.0 if args.per_qubit else 1.0, "Numeric" if args.numeric else "Analytic"
 
 
 def _finite_or_null(value):
@@ -125,7 +122,7 @@ def _json(payload) -> str:
 
 
 def _text(value) -> str:
-    """One value as report or CSV text."""
+    """One value as report text; a float as each ``%.9g`` field of ``_ROW``."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -142,19 +139,21 @@ def _format_report(pairs, args) -> str:
     return "".join(f"{key}: {_text(value)}\n" for key, value in pairs)
 
 
-def _format_table(records, args):
-    """Records as the text chunks of one table, _BLOCK records a chunk: CSV under
-    a header of the first record's keys, or a JSON array.  The chunks join to
-    the text of all records formatted at once."""
-    blocks = iter(lambda: list(itertools.islice(records, _BLOCK)), [])
-    for k, rows in enumerate(blocks):
+#: One sweep row as CSV: family, param, mu, s_min, capacity, regime, method.
+_ROW = "%s,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
+
+
+def _format_table(keys, rows, args):
+    """``rows``, value tuples under ``keys``, as the text chunks of one table,
+    _BLOCK rows a chunk: CSV under a header of ``keys``, each row through _ROW,
+    or a JSON array.  The chunks join to the text of all rows formatted at once."""
+    blocks = iter(lambda: list(itertools.islice(rows, _BLOCK)), [])
+    for k, block in enumerate(blocks):
         if args.json:
-            # A block's array, brackets cut, holds its records as the whole array does.
-            yield ("," if k else "[") + _json([dict(row) for row in rows])[1:-3]
+            # A block's array, brackets cut, holds its rows as the whole array does.
+            yield ("," if k else "[") + _json([dict(zip(keys, row)) for row in block])[1:-3]
         else:
-            header = [] if k else [[key for key, _ in rows[0]]]
-            lines = header + [[_text(value) for _, value in row] for row in rows]
-            yield "".join(",".join(line) + "\n" for line in lines)
+            yield ("" if k else ",".join(keys) + "\n") + "".join([_ROW % row for row in block])
     if args.json:
         yield "\n]\n"
 
@@ -212,7 +211,8 @@ def _report_point(pairs, state, converged: bool, args, parser) -> int:
 def _run_capacity(args, parser) -> int:
     pairs, spec, cfg = _single_point(args, parser)
     result = two_qubit_capacity(spec, cfg, force_numeric=args.numeric)
-    pairs += _capacity_pairs(result.chi_bits, result.s_min_bits, result.regime, args)
+    keys, scale, method = _capacity_columns(args)
+    pairs += zip(keys, (result.s_min_bits, result.chi_bits / scale, result.regime.value, method))
     pairs.append(("converged", result.converged))
     return _report_point(pairs, result.state, result.converged, args, parser)
 
@@ -249,8 +249,9 @@ def _run_sweep(args, parser) -> int:
         # The first point's builder checks every constant input, in its own order;
         # the rule of the one varying axis then checks each of its values.
         build(float(params[0]), float(mus[0]))
-        for value in axis.tolist():
-            rule(value)
+        for start in range(0, args.steps, _BLOCK):  # memory flat in --steps
+            for value in axis[start : start + _BLOCK].tolist():
+                rule(value)
     converged = True
 
     def search(k):
@@ -259,18 +260,19 @@ def _run_sweep(args, parser) -> int:
         spec = build(float(params[k]), float(mus[k]))
         result = two_qubit_capacity(spec, cfg, force_numeric=True)
         converged = converged and result.converged
-        return result.chi_bits, result.s_min_bits, result.regime
+        return result.chi_bits, result.s_min_bits, None, result.regime  # as _closed_form_rows
 
     if args.numeric:
         answers = map(search, range(args.steps))
     else:
-        rows = _closed_form_rows(np.broadcast_to(q, (args.steps, 4)), mus)
-        answers = ((chi, s_min, regime) for chi, s_min, _, regime in rows)
-    records = (
-        [("family", family), ("param", p), ("mu", mu), *_capacity_pairs(*answer, args)]
-        for p, mu, answer in zip(map(float, params.flat), map(float, mus.flat), answers)
+        answers = _closed_form_rows(np.broadcast_to(q, (args.steps, 4)), mus)
+    keys, scale, method = _capacity_columns(args)
+    points = zip(map(float, params.flat), map(float, mus.flat), answers)
+    rows = (
+        (family, p, mu, s_min, chi / scale, regime.value, method)
+        for p, mu, (chi, s_min, _, regime) in points
     )
-    _write(_format_table(records, args), args, parser)
+    _write(_format_table(("family", "param", "mu", *keys), rows, args), args, parser)
     if not converged:
         print("warning: numeric search did not converge at every grid point", file=sys.stderr)
         return 3

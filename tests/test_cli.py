@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import ast
+import hashlib
 import io
 import json
 import math
@@ -372,6 +373,38 @@ def test_closed_form_stdout_is_pinned(command):
     assert run_captured(command.split()) == (0, GOLDEN_STDOUT[command], "")
     if "--json" in command:
         json.loads(GOLDEN_STDOUT[command], parse_constant=_reject_constant)
+
+
+# SHA-256 of the CSV of sweeps that span several blocks, a custom channel with
+# exact-zero weights, a sweep-p and a numeric sweep; these bytes must not change.
+CSV_SHA256 = {
+    "sweep-mu --q 0.5,0.05,0.4,0.05 --steps 137 --per-qubit":
+        "c47d55591c809a286598915957b55853caf8032949bf05d6e573aacf48fa9fa2",
+    "sweep-mu --q 1,0,0,0 --steps 131":
+        "d4be8fa5b0b2960fb59736517ba8a5493f44ca733236635f236973e0e5f350bb",
+    "sweep-p --family depolarizing --mu 0.5 --steps 200":
+        "5101f1b85c8365700e743a37f47f088d605a847fc15e2daa76b4ce18cb1c79f8",
+    "sweep-mu --q 0.4,0.3,0.2,0.1 --steps 3 --numeric --restarts 4":
+        "fc314c639365d4ba30e5ecf699b438d1423d2857c8e83121595ca1be06d98947",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_SHA256))
+def test_csv_sweep_bytes_are_pinned(command):
+    code, out, err = run_captured(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 0.30000000000000004,
+     1.9999999999999996],
+)
+def test_the_row_template_writes_a_float_as_a_report_does(value):
+    # Each float field of a sweep row has the bytes of the same value in a point report.
+    row = cli._ROW % ("Custom", value, value, value, value, "Product", "Analytic")
+    assert row == ",".join(["Custom", *[cli._text(value)] * 4, "Product", "Analytic"]) + "\n"
 
 
 def test_one_table_declares_every_option_of_every_command():
@@ -789,6 +822,28 @@ def test_a_closed_form_sweep_holds_its_rows_in_bounded_memory(tmp_path):
     large = _traced_peak(SWEEP_MU[:-1] + ["10000"] + out)
     assert large - small <= 1_000_000, (small, large)
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 10_001
+
+
+def test_a_sweep_checks_its_grid_a_block_of_values_at_a_time():
+    # At its first value the rule sees the grid array, 8 bytes a step, and one
+    # block of Python floats, not a list of the whole grid, about 32 bytes more a step.
+    def traced_at_first_value(steps):
+        held = []
+
+        def rule(value):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise ValueError("stop")
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(cli, "require_memory_factor", rule):
+                assert assert_usage_error(SWEEP_MU[:-1] + [str(steps)]).endswith("error: stop")
+        finally:
+            tracemalloc.stop()
+        return held[0]
+
+    small, large = traced_at_first_value(1_000), traced_at_first_value(1_000_000)
+    assert large - small <= 9_000_000, (small, large)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
