@@ -9,13 +9,14 @@ derives the ensemble anew, checked, on each access (about 16 us).  Every
 channel takes that state from one closed form: the best of the four
 candidate inputs below, whose read-only states closed-form results share
 and whose Holevo inputs and Kraus terms are built and checked at import.
-It computes arrays over a block of channels: a point is a block of one, a
-sweep streams blocks of _BLOCK.  It indexes each candidate's members by the
-label of their output state: it weighs and diagonalizes the average's
-output and one per label.  ``holevo_chi`` checks a caller's ensemble and
-stays dense over every member's output.  One array rule on the margin, the
-best axis candidate's entropy minus the Bell state's, sets every winner and
-regime and, bisected over ``mu``, the regime switch ``crossing_mu``.
+It computes arrays over a block of channels: a sweep streams blocks of
+_BLOCK, a lone point takes the same steps on one channel without the
+block's gathers.  It indexes each candidate's members by the label of
+their output state: it weighs and diagonalizes the average's output and
+one per label.  ``holevo_chi`` checks a caller's ensemble and stays dense
+over every member's output.  One array rule on the margin, the best axis
+candidate's entropy minus the Bell state's, sets every winner and regime
+and, bisected over ``mu``, the regime switch ``crossing_mu``.
 
 The four candidate inputs of ``candidate_entropies`` hold the minimal
 output entropy of every Pauli memory channel (Daems, PRA 76, 012310
@@ -40,8 +41,8 @@ from .channel import (
 )
 from .pauli import _PAIR_STACK, _frozen
 from .search import MOEMethod, SearchConfig, minimize_output_entropy
-from .spectral import density_spectra, require_unit_norm, require_weights, shannon_entropy_bits
-from .spectral import von_neumann_entropy_bits
+from .spectral import _checked_entropies, _checked_spectra, _row_entropies, density_spectra
+from .spectral import require_unit_norm, require_weights, von_neumann_entropy_bits
 
 #: Width of the Boundary band: of the best axis-Bell entropy tie in
 #: ``two_qubit_capacity``, of ``|mu - |4p - 1||`` in ``symmetric.optimal_input``.
@@ -118,7 +119,7 @@ def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits, through
     the same stacked pass as every closed-form capacity; the error names the
     first member of ``ensemble.states`` that is not a two-qubit state."""
-    weights = _joint_weights([spec.q], [spec.mu])
+    weights = _joint_weights(spec.q, spec.mu)[None]
     inputs = _holevo_inputs(ensemble)
     rows = np.arange(len(inputs))[None]
     return float(_holevo_chis(weights, ensemble.priors, _kraus_terms(inputs[None]), rows)[0])
@@ -145,10 +146,14 @@ def _holevo_chis(
     """
     n, _, d = terms.shape[:3]
     outputs = _weigh_terms(weights, terms).reshape(n * d, 4, 4)
-    entropies = von_neumann_entropy_bits(outputs)[rows + d * np.arange(n)[:, None]]
+    return _chis(von_neumann_entropy_bits(outputs)[rows + d * np.arange(n)[:, None]], priors)
+
+
+def _chis(entropies: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """Holevo quantity of each row ``[S(avg), S_1, ..., S_m]`` of ``entropies``."""
     # accumulate adds one member at a time, in member order; a sum would pair them.
-    held = np.add.accumulate(priors * entropies[:, 1:], axis=1)[:, -1]
-    return entropies[:, 0] - held
+    held = np.add.accumulate(priors * entropies[..., 1:], axis=-1)[..., -1]
+    return entropies[..., 0] - held
 
 
 _PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)  # Pauli pair 4*i + j
@@ -187,19 +192,19 @@ _LABEL_PAIRS.flags.writeable = False
 
 def candidate_entropies(spec: ChannelSpec) -> list[float]:
     """Output entropies in bits of the Z, X and Y axis candidates and the Bell state."""
-    return _candidate_entropies(_joint_weights([spec.q], [spec.mu]))[0].tolist()
+    return _candidate_entropies(_joint_weights(spec.q, spec.mu))[0].tolist()
 
 
 def _candidate_entropies(weights: np.ndarray) -> np.ndarray:
-    """The four candidate entropies of each channel of an ``(n, 16)`` weight stack.
+    """The ``(n, 4)`` candidate entropies of an ``(n, 16)`` weight stack, ``n = 1`` of ``(16,)``.
 
     A candidate's output is diagonal in the states the 16 Pauli pairs send
     it to, so its spectrum is the joint weights summed by label.  One
     _LABEL_PAIRS gather and one reduce, adding in pair order from +0.0,
-    build the 4n spectra; one Shannon pass takes their entropies: ``(n, 4)``.
+    build the 4n spectra; one checked Shannon pass takes their entropies.
     """
-    spectra = np.add.reduce(weights[:, _LABEL_PAIRS], axis=-1, initial=0.0)
-    return shannon_entropy_bits(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
+    spectra = np.add.reduce(weights.take(_LABEL_PAIRS, axis=-1), axis=-1, initial=0.0)
+    return _checked_entropies(spectra.reshape(-1, 4)).reshape(-1, len(_CANDIDATES))
 
 
 #: Edges of the Boundary band, ``[-BOUNDARY_TOL, BOUNDARY_TOL]``, for ``searchsorted``:
@@ -234,7 +239,7 @@ def candidate_entropy_gap(spec: ChannelSpec) -> float:
     of ``s_1``, ``s_2`` or ``s_3`` wins, positive where the Bell state
     (|00>+|11>)/sqrt2 does.
     """
-    return _margins(_candidate_entropies(_joint_weights([spec.q], [spec.mu])))[1].item()
+    return _margins(_candidate_entropies(_joint_weights(spec.q, spec.mu)))[1].item()
 
 
 def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
@@ -304,6 +309,17 @@ def _closed_form_block(weights: np.ndarray) -> tuple[np.ndarray, ...]:
     return chis, s_mins, winners, bands
 
 
+def _closed_form_point(weights: np.ndarray) -> tuple[float, float, int, int]:
+    """``_closed_form_block`` of one channel's ``(16,)`` weights through the same steps,
+    without the block's gathers: the winner's own terms and label rows, read as scalars."""
+    winners, s_mins, bands, _ = _optimum(_candidate_entropies(weights))
+    winner = winners.item()  # a Python int slices and indexes faster than a numpy one
+    terms = _CANDIDATE_TERMS[winner : winner + 1].copy()
+    outputs = _weigh_terms(weights[None], terms).reshape(-1, 4, 4)
+    entropies = _row_entropies(_checked_spectra(outputs))[_LABEL_ROWS[winner]]
+    return _chis(entropies, _UNIFORM_PRIORS).item(), s_mins.item(), winner, bands.item()
+
+
 def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
     """``(chi, s_min, winner, regime)`` of each channel ``(q[k], mu[k])`` of ``(n, 4)``
     checked weights and ``(n,)`` memory factors: one ``_closed_form_block`` per _BLOCK
@@ -322,18 +338,17 @@ def two_qubit_capacity(
 ) -> CapacityResult:
     """Two-qubit capacity with the ensemble that attains it.
 
-    Every channel takes the closed form, one ``_closed_form_block`` of one
-    channel, the kernel the sweeps stream: the best of four candidate
+    Every channel takes the closed form, ``_closed_form_point``, the steps of
+    the block kernel the sweeps stream on one channel: the best of four candidate
     inputs, the Z, X and Y product eigenstates and the Bell state, whose
     read-only state the result shares.  For the ``q0 = q1, q2 = q3`` family
     that is the paper's optimal input, and ``capacity_symmetric`` is its
     independent oracle.  ``force_numeric`` runs the global search with
     ``config`` in its place and freezes the state it finds; the regime
-    still comes from the block.  The saturation gap ``|chi - (2 - s_min)|``
+    still comes from the closed form.  The saturation gap ``|chi - (2 - s_min)|``
     stays below 1e-8 for every Pauli memory channel regardless of route.
     """
-    weights = _joint_weights([spec.q], [spec.mu])
-    chi, s_min, winner, band = (column.item() for column in _closed_form_block(weights))
+    chi, s_min, winner, band = _closed_form_point(_joint_weights(spec.q, spec.mu))
     if force_numeric:
         found = minimize_output_entropy(spec, config)
         chi, s_min = holevo_chi(spec, covariant_ensemble(found.state)), found.entropy_bits

@@ -71,15 +71,15 @@ _EYE = np.eye(4)
 
 
 def _joint_weights(q, mu) -> np.ndarray:
-    """Row ``k``: joint weights ``p[4*i + j]`` of channel ``(q[k], mu[k])``, for stacks
-    ``(n, 4)`` and ``(n,)``.
+    """Joint weights ``p[..., 4*i + j]`` of channels ``(q[...], mu[...])``: ``(16,)`` of one
+    channel's ``(4,)`` weights and ``mu``, ``(n, 16)`` of stacks ``(n, 4)`` and ``(n,)``.
 
     As a 4x4 matrix, rows marginalize to ``q_i`` and columns to ``q_j``.
     """
-    q = np.asarray(q, dtype=float)[:, :, None]
-    mu = np.asarray(mu, dtype=float)[:, None, None]
-    joint = (1.0 - mu) * (q * q.swapaxes(1, 2)) + mu * (q * _EYE)
-    return joint.reshape(-1, 16)
+    q = np.asarray(q, dtype=float)[..., :, None]
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    joint = (1.0 - mu) * (q * q.swapaxes(-1, -2)) + mu * (q * _EYE)
+    return joint.reshape(joint.shape[:-2] + (16,))
 
 
 def kraus_operators(spec: ChannelSpec) -> np.ndarray:
@@ -87,7 +87,7 @@ def kraus_operators(spec: ChannelSpec) -> np.ndarray:
 
     Returned as a fresh ``(16, 4, 4)`` stack.
     """
-    return np.sqrt(_joint_weights([spec.q], [spec.mu])).reshape(16, 1, 1) * _PAIR_STACK
+    return np.sqrt(_joint_weights(spec.q, spec.mu)).reshape(16, 1, 1) * _PAIR_STACK
 
 
 # Each s_i (x) s_j is a phased permutation: row a holds its one nonzero
@@ -105,7 +105,7 @@ def apply(spec: ChannelSpec, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     density_spectra(rho)
     terms = _kraus_terms(rho.reshape(1, -1, 4, 4))
-    return _weigh_terms(_joint_weights([spec.q], [spec.mu]), terms).reshape(rho.shape)
+    return _weigh_terms(_joint_weights(spec.q, spec.mu)[None], terms).reshape(rho.shape)
 
 
 def _kraus_terms(rho: np.ndarray) -> np.ndarray:

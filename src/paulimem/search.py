@@ -50,7 +50,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("restarts", "max_iterations"):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
+            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.restarts > MAX_RESTARTS:
             raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts!r}")
@@ -58,8 +58,9 @@ class SearchConfig:
             raise ValueError(
                 f"entropy_tolerance must be finite and positive, got {self.entropy_tolerance}"
             )
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        seed = self.seed
+        if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 class MOEMethod(enum.Enum):
@@ -144,7 +145,7 @@ def _superoperator(spec: ChannelSpec) -> np.ndarray:
     C order keeps the path, and so the bits, of the products ``rho @ sup``.
     """
     units = np.eye(16, dtype=complex).reshape(1, 16, 4, 4)
-    outputs = _weigh_terms(_joint_weights([spec.q], [spec.mu]), _kraus_terms(units))
+    outputs = _weigh_terms(_joint_weights(spec.q, spec.mu)[None], _kraus_terms(units))
     return np.ascontiguousarray(outputs[0].reshape(16, 16))
 
 

@@ -52,27 +52,29 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
 
 
 def density_spectra(rho) -> np.ndarray:
-    """Spectra of a two-qubit density matrix or of each member of a
-    nonempty ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
-
-    The one check of a two-qubit state: Hermitian within HERMITIAN_TOL, no
-    eigenvalue below -DUST_TOL and a spectrum that sums to one within
-    TRACE_TOL.  NaN fails every check.  Each is one whole-stack test; the first
-    bad member, which the message names, is worked out only once it fails.
-    One ``_eigvalsh`` takes the whole stack, and each member keeps the bits it has alone.
-    """
+    """Spectra, ``(4,)`` or ``(n, 4)``, of a two-qubit density matrix or of each member
+    of a nonempty ``(n, 4, 4)`` stack, sorted descending, checked by ``_checked_spectra``."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
         raise ValueError(
             f"expected a 4x4 density matrix or a nonempty (n, 4, 4) stack, got {rho.shape}"
         )
-    member = "member" if rho.ndim == 3 else None
-    skew = rho - rho.conj().swapaxes(-1, -2)
-    if np.count_nonzero(skew):  # unless rho is its adjoint exactly; NaN counts, -0.0 does not
+    return _checked_spectra(rho, "member" if rho.ndim == 3 else None)
+
+
+def _checked_spectra(stack: np.ndarray, member: str | None = "member") -> np.ndarray:
+    """Descending spectra, ``(4,)`` or ``(n, 4)``, of a complex 4x4 matrix or ``(n, 4, 4)``
+    stack: the one check of a two-qubit state.  Hermitian within HERMITIAN_TOL, no eigenvalue
+    below -DUST_TOL and a spectrum that sums to one within TRACE_TOL; NaN fails every check.
+    Each is one whole-stack test; the first bad member, which the message names after
+    ``member``, is worked out only once it fails.  One ``_eigvalsh`` takes the whole stack,
+    and each member keeps the bits it has alone."""
+    skew = stack - stack.conj().swapaxes(-1, -2)
+    if np.count_nonzero(skew):  # unless stack is its adjoint exactly; NaN counts, -0.0 does not
         defects = np.maximum.reduce(np.abs(skew).reshape(-1, 16), axis=1)
         message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
         _require(defects <= HERMITIAN_TOL, member, message, defects)
-    spectra = _eigvalsh(rho)[..., ::-1].copy()
+    spectra = _eigvalsh(stack)[..., ::-1].copy()
     rows = spectra.reshape(-1, 4)
     traces = np.add.reduce(rows, axis=1)
     if not (np.minimum.reduce(rows[:, -1]) >= -DUST_TOL
@@ -145,21 +147,22 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy_bits(p) -> float | np.ndarray:
-    """Shannon entropy -sum p_i log2 p_i with 0 log 0 = 0, in bits.
-
-    One probability vector gives a float, and an ``(n, k)`` stack of them,
-    one per row, gives an ``(n,)`` array from one pass over the stack.
-    Entries in [-DUST_TOL, 0) are clamped to zero.  Non-finite entries,
-    and positivity or normalization violated beyond tolerance, are
-    rejected; the message names the first bad row of a stack.
-    """
+    """Shannon entropy -sum p_i log2 p_i with 0 log 0 = 0, in bits, checked by
+    ``_checked_entropies``: a float of one probability vector, or an ``(n,)`` array
+    of an ``(n, k)`` stack of them, one per row, from one pass over the stack."""
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
         raise ValueError(
             f"expected a nonempty probability vector or (n, k) stack, got shape {p.shape}"
         )
-    rows = p.reshape(-1, p.shape[-1])
-    row = "row" if p.ndim == 2 else None
+    entropies = _checked_entropies(p.reshape(-1, p.shape[-1]), "row" if p.ndim == 2 else None)
+    return float(entropies[0]) if p.ndim == 1 else entropies
+
+
+def _checked_entropies(rows: np.ndarray, row: str | None = "row") -> np.ndarray:
+    """``_row_entropies`` of an ``(n, k)`` float stack of probability vectors, checked:
+    entries in [-DUST_TOL, 0) are clamped to zero; non-finite entries, and positivity or
+    normalization violated beyond tolerance, are rejected, naming the first bad ``row``."""
     sums = np.add.reduce(rows, axis=1)
     # A non-finite entry fails the whole-stack test too, through a NaN or infinite min or sum.
     if not (np.minimum.reduce(rows, axis=None) >= -DUST_TOL
@@ -168,8 +171,7 @@ def shannon_entropy_bits(p) -> float | np.ndarray:
         least = np.minimum.reduce(rows, axis=1)
         _require(least >= -DUST_TOL, row, "negative probability {:.3e} beyond tolerance", least)
         _require(abs(sums - 1.0) <= PROB_SUM_TOL, row, "probabilities sum to {!r}, not 1", sums)
-    entropies = _row_entropies(rows)
-    return float(entropies[0]) if p.ndim == 1 else entropies
+    return _row_entropies(rows)
 
 
 def von_neumann_entropy_bits(rho) -> float | np.ndarray:

@@ -109,6 +109,13 @@ def _uncalled_factory(mu):
         (lambda: SearchConfig(restarts=2.5), None),
         (lambda: SearchConfig(max_iterations=2.5), None),
         (lambda: SearchConfig(restarts=12, seed=1.5), None),
+        # bool is an Integral, but no count.
+        (lambda: SearchConfig(restarts=True), "^restarts must be a positive integer, got True$"),
+        (
+            lambda: SearchConfig(max_iterations=True),
+            "^max_iterations must be a positive integer, got True$",
+        ),
+        (lambda: SearchConfig(seed=False), "^seed must be a nonnegative integer, got False$"),
         (
             lambda: Ensemble((np.eye(4) / 4, np.eye(4) / 4), np.array([NAN, 1.0])),
             "^priors must be finite, got nan$",
@@ -136,7 +143,8 @@ def _uncalled_factory(mu):
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
         "config-seed", "config-restarts-float", "config-iterations-float",
-        "config-seed-float", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
+        "config-seed-float", "config-restarts-bool", "config-iterations-bool",
+        "config-seed-bool", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
         "holevo-unused-member", "holevo-mixed-member", "crossing-tol-zero",
         "crossing-tol-negative", "crossing-tol-nan", "crossing-tol-inf", "angles-inf",
         "angles-count",
@@ -472,15 +480,20 @@ def _bits(result) -> tuple:
     "n", [1, 2, capacity._BLOCK + 1, 3 * capacity._BLOCK + 5], ids=["1", "2", "block+1", "3block+5"]
 )
 def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
-    specs = _stack_channels(np.random.default_rng(100 + n), n)
-    rows = _rows(specs)
-    assert len(rows) == n
-    for spec, row in zip(specs, rows):
-        result = two_qubit_capacity(spec)
-        assert _row_bits(row) == _bits(result)
-        # The public Holevo quantity goes through the same stacked kernel.
-        assert holevo_chi(spec, result.ensemble).hex() == result.chi_bits.hex()
-    regimes = {regime for _, _, _, regime in rows}
+    rng = np.random.default_rng(100 + n)
+    specs = _stack_channels(rng, n)
+    # Exact zeros, -0.0 weights and mu of 0 and 1, in a stream of their own.
+    zeros = _zero_weight_channels(rng, n)
+    regimes = set()
+    for stream in (specs, zeros + [_signed_zero_copy(s) for s in zeros]):
+        rows = _rows(stream)
+        assert len(rows) == len(stream)
+        for spec, row in zip(stream, rows):
+            result = two_qubit_capacity(spec)
+            assert _row_bits(row) == _bits(result)
+            # The public Holevo quantity goes through the same stacked kernel.
+            assert holevo_chi(spec, result.ensemble).hex() == result.chi_bits.hex()
+        regimes |= {regime for _, _, _, regime in rows}
     assert n < 4 or regimes == {Regime.PRODUCT, Regime.ENTANGLED, Regime.BOUNDARY}
 
 
@@ -630,10 +643,12 @@ def test_candidate_entropies_have_the_bits_of_the_offset_bincount(n):
         block = specs[start : start + n]
         weights = _joint_weights([s.q for s in block], [s.mu for s in block])
         spectra = candidate_spectra_oracle(weights, labels).reshape(-1, 4)
-        spy = mock.patch.object(capacity, "shannon_entropy_bits", wraps=shannon_entropy_bits)
+        spy = mock.patch.object(capacity, "_checked_entropies", wraps=spectral._checked_entropies)
         with spy as shannon:
             entropies = capacity._candidate_entropies(weights)
         assert shannon.call_args.args[0].tobytes() == spectra.tobytes()
+        if n == 1:  # one channel's (16,) weights take the same pass
+            assert capacity._candidate_entropies(weights[0]).tobytes() == entropies.tobytes()
         assert entropies.tobytes() == shannon_entropy_bits(spectra).reshape(-1, 4).tobytes()
         negative_zeros += int(np.signbit(weights[weights == 0.0]).sum())
     assert negative_zeros
@@ -811,14 +826,31 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
 
 
 def test_a_closed_form_point_makes_one_eigvalsh_call():
-    # A single point is one block of one channel: one Shannon pass over its
-    # four candidate spectra and one eigvalsh over its winner's five outputs.
+    # A single point takes the block's steps on one channel: one checked Shannon pass
+    # over its four candidate spectra and one eigvalsh over its winner's five outputs.
     eigvalsh = mock.patch.object(spectral, "_eigvalsh", wraps=spectral._eigvalsh)
-    shannon = mock.patch.object(capacity, "shannon_entropy_bits", wraps=shannon_entropy_bits)
-    with eigvalsh as eig, shannon as entropy:
+    shannon = mock.patch.object(capacity, "_checked_entropies", wraps=spectral._checked_entropies)
+    states = mock.patch.object(capacity, "_checked_spectra", wraps=spectral._checked_spectra)
+    with eigvalsh as eig, shannon as entropy, states as spectra:
         two_qubit_capacity(ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.6))
     assert [call.args[0].shape for call in eig.call_args_list] == [(5, 4, 4)]
+    assert [call.args[0].shape for call in spectra.call_args_list] == [(5, 4, 4)]
     assert [call.args[0].shape for call in entropy.call_args_list] == [(4, 4)]
+
+
+def test_a_closed_form_point_keeps_every_value_check_of_a_block():
+    # The point's steps check what a block of one checks, with the same messages.
+    weights = _joint_weights((0.4, 0.3, 0.2, 0.1), 0.6)
+    runs = (capacity._closed_form_point, lambda w: capacity._closed_form_block(w[None]))
+    message = "^member 0: not positive semidefinite: smallest eigenvalue nan$"
+    with mock.patch.object(spectral, "_eigvalsh", lambda stack: np.full(stack.shape[:-1], NAN)):
+        for run in runs:
+            with pytest.raises(ValueError, match=message):
+                run(weights)
+    short = np.full(16, 0.9 / 16)
+    for run in runs:
+        with pytest.raises(ValueError, match=r"^row 0: probabilities sum to 0\.9\d*, not 1$"):
+            run(short)
 
 
 #: The public API, as README lists it.
