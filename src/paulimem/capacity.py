@@ -41,8 +41,8 @@ from .channel import (
 )
 from .pauli import _PAIR_STACK, _frozen
 from .search import MOEMethod, SearchConfig, minimize_output_entropy
-from .spectral import _checked_entropies, _checked_spectra, _row_entropies, density_spectra
-from .spectral import require_unit_norm, require_weights, von_neumann_entropy_bits
+from .spectral import _checked_entropies, density_spectra, require_unit_norm, require_weights
+from .spectral import von_neumann_entropy_bits
 
 #: Width of the Boundary band: of the best axis-Bell entropy tie in
 #: ``two_qubit_capacity``, of ``|mu - |4p - 1||`` in ``symmetric.optimal_input``.
@@ -316,7 +316,7 @@ def _closed_form_point(weights: np.ndarray) -> tuple[float, float, int, int]:
     winner = winners.item()  # a Python int slices and indexes faster than a numpy one
     terms = _CANDIDATE_TERMS[winner : winner + 1].copy()
     outputs = _weigh_terms(weights[None], terms).reshape(-1, 4, 4)
-    entropies = _row_entropies(_checked_spectra(outputs))[_LABEL_ROWS[winner]]
+    entropies = von_neumann_entropy_bits(outputs)[_LABEL_ROWS[winner]]
     return _chis(entropies, _UNIFORM_PRIORS).item(), s_mins.item(), winner, bands.item()
 
 

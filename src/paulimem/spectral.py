@@ -52,29 +52,27 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
 
 
 def density_spectra(rho) -> np.ndarray:
-    """Spectra, ``(4,)`` or ``(n, 4)``, of a two-qubit density matrix or of each member
-    of a nonempty ``(n, 4, 4)`` stack, sorted descending, checked by ``_checked_spectra``."""
+    """Spectra of a two-qubit density matrix or of each member of a
+    nonempty ``(n, 4, 4)`` stack, sorted descending: shape ``(4,)`` or ``(n, 4)``.
+
+    The one check of a two-qubit state: Hermitian within HERMITIAN_TOL, no
+    eigenvalue below -DUST_TOL and a spectrum that sums to one within
+    TRACE_TOL.  NaN fails every check.  Each is one whole-stack test; the first
+    bad member, which the message names, is worked out only once it fails.
+    One ``_eigvalsh`` takes the whole stack, and each member keeps the bits it has alone.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4) or rho.size == 0:
         raise ValueError(
             f"expected a 4x4 density matrix or a nonempty (n, 4, 4) stack, got {rho.shape}"
         )
-    return _checked_spectra(rho, "member" if rho.ndim == 3 else None)
-
-
-def _checked_spectra(stack: np.ndarray, member: str | None = "member") -> np.ndarray:
-    """Descending spectra, ``(4,)`` or ``(n, 4)``, of a complex 4x4 matrix or ``(n, 4, 4)``
-    stack: the one check of a two-qubit state.  Hermitian within HERMITIAN_TOL, no eigenvalue
-    below -DUST_TOL and a spectrum that sums to one within TRACE_TOL; NaN fails every check.
-    Each is one whole-stack test; the first bad member, which the message names after
-    ``member``, is worked out only once it fails.  One ``_eigvalsh`` takes the whole stack,
-    and each member keeps the bits it has alone."""
-    skew = stack - stack.conj().swapaxes(-1, -2)
-    if np.count_nonzero(skew):  # unless stack is its adjoint exactly; NaN counts, -0.0 does not
+    member = "member" if rho.ndim == 3 else None
+    skew = rho - rho.conj().swapaxes(-1, -2)
+    if np.count_nonzero(skew):  # unless rho is its adjoint exactly; NaN counts, -0.0 does not
         defects = np.maximum.reduce(np.abs(skew).reshape(-1, 16), axis=1)
         message = "density matrix is not Hermitian: ||M - M+||_max = {:.3e}"
         _require(defects <= HERMITIAN_TOL, member, message, defects)
-    spectra = _eigvalsh(stack)[..., ::-1].copy()
+    spectra = _eigvalsh(rho)[..., ::-1].copy()
     rows = spectra.reshape(-1, 4)
     traces = np.add.reduce(rows, axis=1)
     if not (np.minimum.reduce(rows[:, -1]) >= -DUST_TOL

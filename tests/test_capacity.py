@@ -482,9 +482,9 @@ def _bits(result) -> tuple:
 def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
     rng = np.random.default_rng(100 + n)
     specs = _stack_channels(rng, n)
+    regimes = {regime for _, _, _, regime in _rows(specs)}
     # Exact zeros, -0.0 weights and mu of 0 and 1, in a stream of their own.
     zeros = _zero_weight_channels(rng, n)
-    regimes = set()
     for stream in (specs, zeros + [_signed_zero_copy(s) for s in zeros]):
         rows = _rows(stream)
         assert len(rows) == len(stream)
@@ -493,7 +493,6 @@ def test_each_stacked_channel_has_the_bits_of_its_single_point(n):
             assert _row_bits(row) == _bits(result)
             # The public Holevo quantity goes through the same stacked kernel.
             assert holevo_chi(spec, result.ensemble).hex() == result.chi_bits.hex()
-        regimes |= {regime for _, _, _, regime in rows}
     assert n < 4 or regimes == {Regime.PRODUCT, Regime.ENTANGLED, Regime.BOUNDARY}
 
 
@@ -830,7 +829,9 @@ def test_a_closed_form_point_makes_one_eigvalsh_call():
     # over its four candidate spectra and one eigvalsh over its winner's five outputs.
     eigvalsh = mock.patch.object(spectral, "_eigvalsh", wraps=spectral._eigvalsh)
     shannon = mock.patch.object(capacity, "_checked_entropies", wraps=spectral._checked_entropies)
-    states = mock.patch.object(capacity, "_checked_spectra", wraps=spectral._checked_spectra)
+    states = mock.patch.object(
+        capacity, "von_neumann_entropy_bits", wraps=spectral.von_neumann_entropy_bits
+    )
     with eigvalsh as eig, shannon as entropy, states as spectra:
         two_qubit_capacity(ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.6))
     assert [call.args[0].shape for call in eig.call_args_list] == [(5, 4, 4)]

@@ -387,12 +387,11 @@ def test_spectral_holds_the_one_call_of_the_eigenvalue_gufunc():
 
 def test_spectral_holds_the_one_shannon_kernel():
     # Every entropy in bits, the search objective's too, is a row of _row_entropies,
-    # and each value check of a probability vector or a state is written once, in
-    # spectral's checked cores, which the public functions and the closed form call.
+    # and the value checks of a probability vector are written once, in spectral's
+    # checked core, which shannon_entropy_bits and the closed form's candidate pass call.
     assert _calls_by_module("log2") == {"spectral": 1}
-    assert set(_calls_by_module("_row_entropies")) == {"spectral", "search", "capacity"}
-    for core in ("_checked_entropies", "_checked_spectra"):
-        assert _calls_by_module(core) == {"spectral": 1, "capacity": 1}, core
+    assert set(_calls_by_module("_row_entropies")) == {"spectral", "search"}
+    assert _calls_by_module("_checked_entropies") == {"spectral": 1, "capacity": 1}
     assert _calls_by_module("_require") == {"spectral": 6}
 
 
