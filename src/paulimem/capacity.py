@@ -9,14 +9,14 @@ derives the ensemble anew, checked, on each access (about 16 us).  Every
 channel takes that state from one closed form: the best of the four
 candidate inputs below, whose read-only states closed-form results share
 and whose Holevo inputs and Kraus terms are built and checked at import.
-It computes arrays over a block of channels: a sweep streams blocks of
-_BLOCK, a lone point takes the same steps on one channel without the
-block's gathers.  It indexes each candidate's members by the label of
-their output state: it weighs and diagonalizes the average's output and
-one per label.  ``holevo_chi`` checks a caller's ensemble and stays dense
-over every member's output.  One array rule on the margin, the best axis
-candidate's entropy minus the Bell state's, sets every winner and regime
-and, bisected over ``mu``, the regime switch ``crossing_mu``.
+One kernel computes arrays over a block of channels: a sweep streams
+blocks of _BLOCK, and a lone point is a block of one.  It indexes each
+candidate's members by the label of their output state: it weighs and
+diagonalizes the average's output and one per label.  ``holevo_chi``
+checks a caller's ensemble and stays dense over every member's output.
+One array rule on the margin, the best axis candidate's entropy minus
+the Bell state's, sets every winner and regime and, bisected over ``mu``,
+the regime switch ``crossing_mu``.
 
 The four candidate inputs of ``candidate_entropies`` hold the minimal
 output entropy of every Pauli memory channel (Daems, PRA 76, 012310
@@ -117,12 +117,11 @@ def covariant_ensemble(state) -> Ensemble:
 
 def holevo_chi(spec: ChannelSpec, ensemble: Ensemble) -> float:
     """Holevo quantity ``S(E(avg)) - sum_i p_i S(E(rho_i))`` in bits, through
-    the same stacked pass as every closed-form capacity; the error names the
-    first member of ``ensemble.states`` that is not a two-qubit state."""
-    weights = _joint_weights(spec.q, spec.mu)[None]
-    inputs = _holevo_inputs(ensemble)
-    rows = np.arange(len(inputs))[None]
-    return float(_holevo_chis(weights, ensemble.priors, _kraus_terms(inputs[None]), rows)[0])
+    the same weigh, entropy and in-order sum steps as every closed-form capacity;
+    the error names the first member of ``ensemble.states`` that is not a two-qubit state."""
+    terms = _kraus_terms(_holevo_inputs(ensemble)[None])
+    outputs = _weigh_terms(_joint_weights(spec.q, spec.mu)[None], terms)[0]
+    return float(_chis(von_neumann_entropy_bits(outputs), ensemble.priors))
 
 
 def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
@@ -130,23 +129,6 @@ def _holevo_inputs(ensemble: Ensemble) -> np.ndarray:
     which one ``density_spectra`` checks; their average is then a state."""
     density_spectra(ensemble.states)
     return np.concatenate((ensemble.average_input()[None], ensemble.states))
-
-
-def _holevo_chis(
-    weights: np.ndarray, priors: np.ndarray, terms: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Holevo quantity of ``_holevo_inputs`` stack ``c`` through channel ``c``,
-    for ``(n, 16)`` weights, ``(m,)`` priors, the pair-major ``(n, 16, d, 4, 4)``
-    ``_kraus_terms`` of ``d`` inputs, which it overwrites, and the ``(n, m + 1)``
-    index ``rows`` of each row of stack ``c`` among channel ``c``'s ``d`` inputs.
-
-    One ``_weigh_terms`` of the whole stack, one ``von_neumann_entropy_bits``,
-    which checks every output, a gather of each row's entropy, and the
-    terms ``p_i S_i`` added one member column at a time, in member order.
-    """
-    n, _, d = terms.shape[:3]
-    outputs = _weigh_terms(weights, terms).reshape(n * d, 4, 4)
-    return _chis(von_neumann_entropy_bits(outputs)[rows + d * np.arange(n)[:, None]], priors)
 
 
 def _chis(entropies: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -246,12 +228,12 @@ def crossing_mu(spec_factory, tol: float = 1e-6) -> float | None:
     """Memory value where the best product axis and the Bell state swap rank.
 
     Bisects the sign of :func:`candidate_entropy_gap` over ``mu`` in
-    [0, 1] until the bracket is at most ``tol`` wide, which must be finite
-    and positive, or holds no float between its ends; ``spec_factory(mu)``
+    [0, 1] until the bracket is at most ``tol`` wide, which must be a finite
+    and positive number, not a bool, or holds no float between its ends; ``spec_factory(mu)``
     must build the channel.  Returns None when the gap has the same sign
     at both ends.
     """
-    if not 0.0 < tol < math.inf:
+    if isinstance(tol, bool) or not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = 0.0, 1.0
     g_lo = candidate_entropy_gap(spec_factory(lo))
@@ -296,28 +278,24 @@ _LABEL_INPUTS = _frozen([
 # Pair-major per candidate, (4, 16, 5, 4, 4): each candidate's terms are one
 # contiguous block, so a block's one take copies whole blocks in _weigh_terms' order.
 _CANDIDATE_TERMS = _frozen(_kraus_terms(_LABEL_INPUTS))
+#: Index of each block row's first output among the block's ``5 n`` outputs, ``(_BLOCK, 1)``.
+_ROW_OFFSETS = _frozen(_LABEL_INPUTS.shape[1] * np.arange(_BLOCK)[:, None], int)
 
 
 def _closed_form_block(weights: np.ndarray) -> tuple[np.ndarray, ...]:
     """Closed-form ``chi``, ``s_min``, winner and ``_REGIMES`` band arrays of an
-    ``(n, 16)`` weight stack's channels: one pass takes the candidate entropies,
-    ``_optimum`` picks every winner, and one Holevo pass weighs a gathered copy of
-    each winner's _CANDIDATE_TERMS, one per label.  A channel has its bits in any block."""
+    ``(n, 16)`` weight stack of at most _BLOCK channels, a lone point's ``n = 1``:
+    one pass takes the candidate entropies, ``_optimum`` picks every winner, and
+    one Holevo pass weighs a gathered copy of each winner's _CANDIDATE_TERMS, one
+    per label, takes one ``von_neumann_entropy_bits``, which checks every output,
+    gathers each winner's ``_LABEL_ROWS`` of it and adds them in member order.
+    A channel has its bits in any block."""
     winners, s_mins, bands, _ = _optimum(_candidate_entropies(weights))
-    terms = _CANDIDATE_TERMS.take(winners, axis=0)
-    chis = _holevo_chis(weights, _UNIFORM_PRIORS, terms, _LABEL_ROWS[winners])
+    outputs = _weigh_terms(weights, _CANDIDATE_TERMS.take(winners, axis=0)).reshape(-1, 4, 4)
+    rows = _LABEL_ROWS.take(winners, axis=0)
+    rows += _ROW_OFFSETS[: len(rows)]
+    chis = _chis(von_neumann_entropy_bits(outputs).take(rows), _UNIFORM_PRIORS)
     return chis, s_mins, winners, bands
-
-
-def _closed_form_point(weights: np.ndarray) -> tuple[float, float, int, int]:
-    """``_closed_form_block`` of one channel's ``(16,)`` weights through the same steps,
-    without the block's gathers: the winner's own terms and label rows, read as scalars."""
-    winners, s_mins, bands, _ = _optimum(_candidate_entropies(weights))
-    winner = winners.item()  # a Python int slices and indexes faster than a numpy one
-    terms = _CANDIDATE_TERMS[winner : winner + 1].copy()
-    outputs = _weigh_terms(weights[None], terms).reshape(-1, 4, 4)
-    entropies = von_neumann_entropy_bits(outputs)[_LABEL_ROWS[winner]]
-    return _chis(entropies, _UNIFORM_PRIORS).item(), s_mins.item(), winner, bands.item()
 
 
 def _closed_form_rows(q, mu) -> Iterator[tuple[float, float, int, Regime]]:
@@ -338,17 +316,18 @@ def two_qubit_capacity(
 ) -> CapacityResult:
     """Two-qubit capacity with the ensemble that attains it.
 
-    Every channel takes the closed form, ``_closed_form_point``, the steps of
-    the block kernel the sweeps stream on one channel: the best of four candidate
-    inputs, the Z, X and Y product eigenstates and the Bell state, whose
-    read-only state the result shares.  For the ``q0 = q1, q2 = q3`` family
-    that is the paper's optimal input, and ``capacity_symmetric`` is its
-    independent oracle.  ``force_numeric`` runs the global search with
-    ``config`` in its place and freezes the state it finds; the regime
-    still comes from the closed form.  The saturation gap ``|chi - (2 - s_min)|``
-    stays below 1e-8 for every Pauli memory channel regardless of route.
+    Every channel takes the closed form, a one-channel ``_closed_form_block``,
+    the kernel the sweeps stream: the best of four candidate inputs, the Z, X
+    and Y product eigenstates and the Bell state, whose read-only state the
+    result shares.  For the ``q0 = q1, q2 = q3`` family that is the paper's
+    optimal input, and ``capacity_symmetric`` is its independent oracle.
+    ``force_numeric`` runs the global search with ``config`` in its place and
+    freezes the state it finds; the regime still comes from the closed form.
+    The saturation gap ``|chi - (2 - s_min)|`` stays below 1e-8 for every Pauli
+    memory channel regardless of route.
     """
-    chi, s_min, winner, band = _closed_form_point(_joint_weights(spec.q, spec.mu))
+    chis, s_mins, winners, bands = _closed_form_block(_joint_weights(spec.q, spec.mu)[None])
+    chi, s_min, winner, band = chis.item(), s_mins.item(), winners.item(), bands.item()
     if force_numeric:
         found = minimize_output_entropy(spec, config)
         chi, s_min = holevo_chi(spec, covariant_ensemble(found.state)), found.entropy_bits

@@ -54,10 +54,10 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.restarts > MAX_RESTARTS:
             raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts!r}")
-        if not 0.0 < self.entropy_tolerance < math.inf:
-            raise ValueError(
-                f"entropy_tolerance must be finite and positive, got {self.entropy_tolerance}"
-            )
+        tolerance = self.entropy_tolerance
+        # bool is a number, but no tolerance.
+        if isinstance(tolerance, bool) or not 0.0 < tolerance < math.inf:
+            raise ValueError(f"entropy_tolerance must be finite and positive, got {tolerance}")
         seed = self.seed
         if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -36,6 +36,7 @@ from paulimem.channel import (
     preset_depolarizing,
     preset_symmetric,
 )
+from paulimem.cli import main
 from paulimem.search import MOEMethod, SearchConfig, output_entropy, parametrize_pure_state
 from paulimem.spectral import density_spectra, shannon_entropy_bits, von_neumann_entropy_bits
 from paulimem.symmetric import SymmetricParams, capacity_symmetric, optimal_input
@@ -105,6 +106,11 @@ def _uncalled_factory(mu):
         (lambda: ChannelSpec((0.25, 0.25, 0.25, 0.25), NAN), None),
         (lambda: SearchConfig(entropy_tolerance=NAN), None),
         (lambda: SearchConfig(entropy_tolerance=np.inf), None),
+        # bool is a number, but no tolerance.
+        (
+            lambda: SearchConfig(entropy_tolerance=True),
+            "^entropy_tolerance must be finite and positive, got True$",
+        ),
         (lambda: SearchConfig(seed=-1), None),
         (lambda: SearchConfig(restarts=2.5), None),
         (lambda: SearchConfig(max_iterations=2.5), None),
@@ -134,6 +140,11 @@ def _uncalled_factory(mu):
         (lambda: crossing_mu(_uncalled_factory, tol=-1.0), "^tol must be finite and positive"),
         (lambda: crossing_mu(_uncalled_factory, tol=NAN), "^tol must be finite and positive"),
         (lambda: crossing_mu(_uncalled_factory, tol=math.inf), "^tol must be finite and positive"),
+        # A bool tol would read as 1.0 and return the first midpoint, 0.5.
+        (
+            lambda: crossing_mu(_uncalled_factory, tol=True),
+            "^tol must be finite and positive, got True$",
+        ),
         (
             lambda: parametrize_pure_state([math.inf, 0, 0, 0, 0, 0]),
             "^angles must be finite, got inf$",
@@ -142,12 +153,12 @@ def _uncalled_factory(mu):
     ],
     ids=[
         "spec-q", "spec-mu", "config-tolerance-nan", "config-tolerance-inf",
-        "config-seed", "config-restarts-float", "config-iterations-float",
-        "config-seed-float", "config-restarts-bool", "config-iterations-bool",
-        "config-seed-bool", "ensemble", "shannon", "eigenvalues", "apply", "output-entropy",
-        "holevo-unused-member", "holevo-mixed-member", "crossing-tol-zero",
-        "crossing-tol-negative", "crossing-tol-nan", "crossing-tol-inf", "angles-inf",
-        "angles-count",
+        "config-tolerance-bool", "config-seed", "config-restarts-float",
+        "config-iterations-float", "config-seed-float", "config-restarts-bool",
+        "config-iterations-bool", "config-seed-bool", "ensemble", "shannon", "eigenvalues",
+        "apply", "output-entropy", "holevo-unused-member", "holevo-mixed-member",
+        "crossing-tol-zero", "crossing-tol-negative", "crossing-tol-nan", "crossing-tol-inf",
+        "crossing-tol-bool", "angles-inf", "angles-count",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):
@@ -825,8 +836,8 @@ def test_a_closed_form_block_makes_one_eigvalsh_call():
 
 
 def test_a_closed_form_point_makes_one_eigvalsh_call():
-    # A single point takes the block's steps on one channel: one checked Shannon pass
-    # over its four candidate spectra and one eigvalsh over its winner's five outputs.
+    # A single point is a block of one: one checked Shannon pass over its
+    # four candidate spectra and one eigvalsh over its winner's five outputs.
     eigvalsh = mock.patch.object(spectral, "_eigvalsh", wraps=spectral._eigvalsh)
     shannon = mock.patch.object(capacity, "_checked_entropies", wraps=spectral._checked_entropies)
     states = mock.patch.object(
@@ -839,19 +850,28 @@ def test_a_closed_form_point_makes_one_eigvalsh_call():
     assert [call.args[0].shape for call in entropy.call_args_list] == [(4, 4)]
 
 
-def test_a_closed_form_point_keeps_every_value_check_of_a_block():
-    # The point's steps check what a block of one checks, with the same messages.
-    weights = _joint_weights((0.4, 0.3, 0.2, 0.1), 0.6)
-    runs = (capacity._closed_form_point, lambda w: capacity._closed_form_block(w[None]))
+def test_the_closed_form_kernel_checks_a_points_outputs_and_weights():
+    # A point is a block of one, so the kernel's checks and messages reach it.
     message = "^member 0: not positive semidefinite: smallest eigenvalue nan$"
     with mock.patch.object(spectral, "_eigvalsh", lambda stack: np.full(stack.shape[:-1], NAN)):
-        for run in runs:
-            with pytest.raises(ValueError, match=message):
-                run(weights)
-    short = np.full(16, 0.9 / 16)
-    for run in runs:
-        with pytest.raises(ValueError, match=r"^row 0: probabilities sum to 0\.9\d*, not 1$"):
-            run(short)
+        with pytest.raises(ValueError, match=message):
+            capacity._closed_form_block(_joint_weights((0.4, 0.3, 0.2, 0.1), 0.6)[None])
+        with pytest.raises(ValueError, match=message):
+            two_qubit_capacity(ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.6))
+    with pytest.raises(ValueError, match=r"^row 0: probabilities sum to 0\.9\d*, not 1$"):
+        capacity._closed_form_block(np.full((1, 16), 0.9 / 16))
+
+
+def test_a_point_and_a_sweep_take_the_one_closed_form_kernel(capsys):
+    kernel = mock.patch.object(capacity, "_closed_form_block", wraps=capacity._closed_form_block)
+    with kernel as block:
+        two_qubit_capacity(ChannelSpec((0.4, 0.3, 0.2, 0.1), 0.6))
+    assert [call.args[0].shape for call in block.call_args_list] == [(1, 16)]
+    argv = ["sweep-mu", "--family", "symmetric", "--param", "0.3", "--steps", "101"]
+    with kernel as block:
+        assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+    assert [call.args[0].shape for call in block.call_args_list] == [(64, 16), (37, 16)]
 
 
 #: The public API, as README lists it.
